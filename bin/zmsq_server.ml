@@ -64,6 +64,14 @@ let () =
       ~params:{ Zmsq.Params.default with blocking = true; shards = !shards }
       ()
   in
+  (* Handlers go in before the listening line: a process manager may send
+     SIGTERM the moment it reads that line, and the default action would
+     kill the process without a drain. *)
+  let stop = Atomic.make false in
+  let on_signal _ = Atomic.set stop true in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string !host, !port) in
   let srv = Srv.create ~config:!cfg ~q ~addr () in
   (match Srv.sockaddr srv with
@@ -71,11 +79,6 @@ let () =
       Printf.eprintf "zmsq_server: listening on %s:%d (%d shards, %d workers)\n%!"
         (Unix.string_of_inet_addr a) p !shards !cfg.Srv.workers
   | _ -> ());
-  let stop = Atomic.make false in
-  let on_signal _ = Atomic.set stop true in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let t0 = Unix.gettimeofday () in
   let last_stats = ref t0 in
   while not (Atomic.get stop) do

@@ -177,7 +177,6 @@ let lock_mutex (module L : Zmsq_sync.Lock.S) lname =
   }
 
 let tatas_mutex = lock_mutex (module ML.Tatas) "tatas"
-let ticket_mutex = lock_mutex (module ML.Ticket) "ticket"
 
 (* {2 ZMSQ} *)
 
@@ -1756,8 +1755,6 @@ let all =
     { scenario = hazard ~buggy:true; mode = Dfs; expect_fail = true;
       max_steps = 400; max_executions = 50_000 };
     { scenario = tatas_mutex; mode = Dfs; expect_fail = false;
-      max_steps = 200; max_executions = 20_000 };
-    { scenario = ticket_mutex; mode = Dfs; expect_fail = false;
       max_steps = 200; max_executions = 20_000 };
     { scenario = zmsq_strict_lin; mode = Rand { executions = 300; seed = 0x51ED };
       expect_fail = false; max_steps = 4000; max_executions = 0 };

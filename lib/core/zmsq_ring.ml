@@ -174,11 +174,25 @@ module Make (P : Zmsq_prim.Intf.PRIM) = struct
 
   (* Make the staging node for generation [g'] present in the table.
      [false] means the table slot still holds an undrained older
-     generation — the ring is at capacity. *)
-  let ensure_installed r g' =
+     generation — the ring is at capacity.
+
+     An advancer whose tail word went stale (it stalled while generation
+     [g'] was installed, sealed and drained) can install a node for [g']
+     after the drain cleared its slot. A node whose generation is below
+     [head] is such a stale install: the drain clears a slot before it
+     moves [head], so no live node is ever behind [head], and no claim
+     can resolve to it. Left in place it would hold the slot for good —
+     [g' + nodes] could never be installed, the ring never sealed past
+     [g' + nodes - 1], and an extract would spin on its residents — so
+     it is cleared here. *)
+  let rec ensure_installed r g' =
     let cell = r.ntab.(g' land r.nmask) in
     match Atomic.get cell with
-    | Some n -> Plain.get n.gen = g'
+    | Some n when Plain.get n.gen = g' -> true
+    | Some n as stale when Plain.get n.gen < Atomic.get r.head ->
+        if Atomic.compare_and_set cell stale None then free_push r.free n;
+        ensure_installed r g'
+    | Some _ -> false
     | None ->
         let n = acquire_node r g' in
         if Atomic.compare_and_set cell None (Some n) then true

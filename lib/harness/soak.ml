@@ -199,9 +199,47 @@ let diff_stats before after =
     (fun (k, v) -> (k, v - (try List.assoc k before with Not_found -> 0)))
     after
 
+(* The monitor's latest counters, kept for the phase deadline's report. *)
+let record last s =
+  Stdlib.Atomic.set last s;
+  s
+
+(* Past its share of [secs] plus this grace, a phase is stuck (a join that
+   never returns, a drain that never empties). *)
+let phase_grace_s = 60.
+
+(* Run one phase under a wall-clock deadline that fails loudly: a watchdog
+   thread waits on a pipe the phase writes when it ends; if the deadline
+   comes first it prints the phase name and the monitor's last counters
+   and exits the process with code 3, since a stuck domain cannot be
+   unwound. *)
+let with_deadline ~phase ~seconds ~last f =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec watch () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then begin
+      Printf.eprintf
+        "soak: phase %s missed its %.1f s wall-clock deadline; monitor's last counters: %s\n%!"
+        (phase_name phase) seconds (Stdlib.Atomic.get last);
+      Unix._exit 3
+    end;
+    match Unix.select [ r ] [] [] left with
+    | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> watch ()
+    | _ -> ()
+  in
+  let watchdog = Thread.create watch () in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.write_substring w "!" 0 1);
+      Thread.join watchdog;
+      Unix.close r;
+      Unix.close w)
+    f
+
 (* One phase = one fresh queue + one fresh set of worker domains, so a
    violation's artifacts describe exactly the workload that tripped it. *)
-let run_phase cfg ~index ~phase ~dur =
+let run_phase cfg ~index ~phase ~dur ~last =
   let log s =
     match cfg.log with
     | Some f -> f (Printf.sprintf "[soak %-16s] %s" (phase_name phase) s)
@@ -394,6 +432,12 @@ let run_phase cfg ~index ~phase ~dur =
        done);
     Q.unregister h
   in
+  let record_counters () =
+    record last
+      (Printf.sprintf "inserted=%d extracted=%d len=%d buffered=%d"
+         (Stdlib.Atomic.get inserted) (Stdlib.Atomic.get extracted) (Q.length q)
+         (Q.Debug.buffered q))
+  in
   let monitor () =
     FP.Ctl.exempt_self ();
     Barrier.wait bar;
@@ -455,11 +499,10 @@ let run_phase cfg ~index ~phase ~dur =
       end;
       if now >= !next_beat then begin
         next_beat := now + 500_000_000;
-        log
-          (Printf.sprintf "heartbeat: inserted=%d extracted=%d len=%d buffered=%d"
-             ins ext (Q.length q) (Q.Debug.buffered q))
+        log ("heartbeat: " ^ record_counters ())
       end
     done;
+    ignore (record_counters ());
     (match !frozen with
     | Some (victim, _) -> FP.Ctl.thaw victim
     | None -> ());
@@ -626,7 +669,7 @@ let run_phase cfg ~index ~phase ~dur =
    every shard, zero staged residue, and the sampled rank error against
    the {e sharded} relaxation bound ({!Accuracy.sharded_bound}), merged
    across the per-shard QoS histograms. *)
-let run_shard_phase cfg ~index ~phase ~dur =
+let run_shard_phase cfg ~index ~phase ~dur ~last =
   let log s =
     match cfg.log with
     | Some f -> f (Printf.sprintf "[soak %-16s] %s" (phase_name phase) s)
@@ -735,6 +778,13 @@ let run_shard_phase cfg ~index ~phase ~dur =
     done;
     SQ.unregister h
   in
+  let record_counters () =
+    record last
+      (Printf.sprintf "inserted=%d extracted=%d sizes=[%s] buffered=%d"
+         (Stdlib.Atomic.get inserted) (Stdlib.Atomic.get extracted)
+         (String.concat ";" (Array.to_list (Array.map string_of_int (SQ.shard_sizes q))))
+         (SQ.Debug.buffered q))
+  in
   let monitor () =
     FP.Ctl.exempt_self ();
     Barrier.wait bar;
@@ -786,14 +836,10 @@ let run_shard_phase cfg ~index ~phase ~dur =
       end;
       if now >= !next_beat then begin
         next_beat := now + 500_000_000;
-        log
-          (Printf.sprintf "heartbeat: inserted=%d extracted=%d sizes=[%s] buffered=%d"
-             ins ext
-             (String.concat ";"
-                (Array.to_list (Array.map string_of_int (SQ.shard_sizes q))))
-             (SQ.Debug.buffered q))
+        log ("heartbeat: " ^ record_counters ())
       end
     done;
+    ignore (record_counters ());
     (match !frozen with
     | Some (victim, _) -> FP.Ctl.thaw victim
     | None -> ());
@@ -943,7 +989,7 @@ let run_shard_phase cfg ~index ~phase ~dur =
    retry storm). *)
 module NetSrv = Zmsq_net.Server.Make (SQ)
 
-let run_server_phase cfg ~index ~phase ~dur =
+let run_server_phase cfg ~index ~phase ~dur ~last =
   let log s =
     match cfg.log with
     | Some f -> f (Printf.sprintf "[soak %-16s] %s" (phase_name phase) s)
@@ -1042,6 +1088,13 @@ let run_server_phase cfg ~index ~phase ~dur =
     c "rpc_throttled_total" + c "rpc_shed_total" + c "rpc_rejected_total"
     + c "rpc_deadline_expired_total" + c "rpc_closed_total" + c "rpc_bad_request_total"
   in
+  let record_counters c =
+    record last
+      (Printf.sprintf "level=%s accepted=%d completed=%d refused=%d qlen=%d"
+         (NetSrv.level_name (NetSrv.level srv))
+         (c "rpc_accepted_total") (c "rpc_completed_total") (refused_of c)
+         (SQ.length q))
+  in
   let stop_mon = Stdlib.Atomic.make false in
   let monitor () =
     FP.Ctl.exempt_self ();
@@ -1085,13 +1138,10 @@ let run_server_phase cfg ~index ~phase ~dur =
       end;
       if now >= !next_beat then begin
         next_beat := now + 500_000_000;
-        log
-          (Printf.sprintf "heartbeat: level=%s accepted=%d completed=%d refused=%d qlen=%d"
-             (NetSrv.level_name (NetSrv.level srv))
-             (c "rpc_accepted_total") (c "rpc_completed_total") (refused_of c)
-             (SQ.length q))
+        log ("heartbeat: " ^ record_counters c)
       end
     done;
+    ignore (record_counters (counters ()));
     FP.Ctl.quiesce ()
   in
   let t0 = now_ns () in
@@ -1243,10 +1293,12 @@ let run cfg =
     List.split
       (List.mapi
          (fun index phase ->
-           match phase with
-           | Shard_churn -> run_shard_phase cfg ~index ~phase ~dur
-           | Server_overload -> run_server_phase cfg ~index ~phase ~dur
-           | _ -> run_phase cfg ~index ~phase ~dur)
+           let last = Stdlib.Atomic.make "none recorded yet" in
+           with_deadline ~phase ~seconds:(dur +. phase_grace_s) ~last (fun () ->
+               match phase with
+               | Shard_churn -> run_shard_phase cfg ~index ~phase ~dur ~last
+               | Server_overload -> run_server_phase cfg ~index ~phase ~dur ~last
+               | _ -> run_phase cfg ~index ~phase ~dur ~last))
          cfg.phases)
   in
   let fault_stats = diff_stats stats0 (FP.Ctl.stats ()) in

@@ -33,7 +33,13 @@
       exactness on {e every} shard plus at least one sticky re-roll.
 
     On any violation the phase's metrics snapshot and (when [params.obs]
-    permits) Chrome trace are dumped under [artifacts_dir]. *)
+    permits) Chrome trace are dumped under [artifacts_dir].
+
+    Each phase also runs under a wall-clock deadline: its share of
+    [secs] plus 60 s. A phase still running then is stuck (a join that
+    never returns, a drain that never empties); a stuck domain cannot be
+    unwound, so the process prints the phase name and the monitor's last
+    counters to stderr and exits with code 3. *)
 
 (** The injection knobs, mirroring {!Zmsq_prim.Faulty.config} plus the
     monitor-driven freeze window. [*_1in] fields are "1 in N ops" rates

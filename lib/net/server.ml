@@ -100,7 +100,7 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
     c_requeued : Metrics.counter;
     c_drained : Metrics.counter;
     h_rpc : Metrics.histogram;
-    (* lint: unpadded ladder level; one write per supervisor tick, reads only elsewhere *)
+    (* lint: unpadded ladder level; one write per ladder tick (worker 0), reads only elsewhere *)
     level : int Atomic.t;
     (* lint: unpadded inflight gauge; control-plane accuracy over false-sharing avoidance *)
     inflight : int Atomic.t;
@@ -548,6 +548,55 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
             teardown t ~service_h ~waiters conn ~abnormal:true);
         !progressed)
 
+  (* {2 Accepts (worker 0)} *)
+
+  let wake w = try ignore (Unix.write w.wake_w (Bytes.make 1 '!') 0 1) with Unix.Unix_error _ -> ()
+
+  (* Accept-storm friendly: take every pending connection and hand each
+     to a worker round-robin through its inbox — worker 0's own included,
+     so every connection enters a loop the same way. *)
+  let accept_pending t ~rr =
+    let continue = ref true in
+    while !continue do
+      match Unix.accept ~cloexec:true t.listen_fd with
+      | fd, _ ->
+          (* Capacity and shutdown gate the *connection*; the ladder
+             gates individual RPCs. Rejecting conns at level 3 would
+             lock out the reconnecting consumers that are the only
+             way back down the ladder. *)
+          if Atomic.get t.stopping || Atomic.get t.nconns >= t.cfg.max_conns
+          then begin
+            (* Typed refusal, never a silent slam: best-effort write
+               of a Rejected frame, then close. *)
+            Metrics.incr t.c_conn_rej;
+            let msg =
+              Frame.encode
+                (Protocol.encode_resp
+                   (Protocol.Error (Protocol.Rejected, "server at capacity")))
+            in
+            (try ignore (Unix.write_substring fd msg 0 (String.length msg))
+             with Unix.Unix_error _ -> ());
+            try Unix.close fd with Unix.Unix_error _ -> ()
+          end
+          else begin
+            Unix.set_nonblock fd;
+            (try Unix.setsockopt fd Unix.TCP_NODELAY true
+             with Unix.Unix_error _ -> ());
+            Metrics.incr t.c_conn_acc;
+            Atomic.incr t.nconns;
+            trace_instant t ~arg:(Atomic.get t.nconns) Trace.Accept;
+            let w = t.workers.(!rr mod Array.length t.workers) in
+            incr rr;
+            Mutex.lock w.inbox_mu; (* lint: allow raise-under-lock — Queue.add cannot raise *)
+            Queue.add fd w.inbox;
+            Mutex.unlock w.inbox_mu;
+            wake w
+          end
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          continue := false
+      | exception Unix.Unix_error (_, _, _) -> continue := false
+    done
+
   (* {2 Worker event loop} *)
 
   let worker_loop t w =
@@ -557,6 +606,14 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
     let service_h = ref None in
     (try service_h := Some (Q.register t.q) with Invalid_argument _ -> ());
     let drain_flushed = ref false in
+    (* Worker 0 also owns the listen socket and the ladder tick, until
+       shutdown closes the socket. The tick is time-based, so it keeps
+       its cadence whether the loop is idle or busy. *)
+    let listening = ref (w.w_id = 0) in
+    let rr = ref 0 in
+    let tick_ns = int_of_float (t.cfg.tick_ms *. 1e6) in
+    let next_tick = ref (Timing.now_ns () + tick_ns) in
+    let ticks = ref 0 in
     let take_inbox () =
       Mutex.lock w.inbox_mu;
       Fun.protect
@@ -603,7 +660,12 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
             | None -> ())
           !conns
       end;
+      if stopping && !listening then begin
+        listening := false;
+        try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+      end;
       let rfds = w.wake_r :: List.map (fun c -> c.fd) !conns in
+      let rfds = if !listening then t.listen_fd :: rfds else rfds in
       let wfds =
         List.filter_map
           (fun c -> if Queue.is_empty c.out then None else Some c.fd)
@@ -612,6 +674,7 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
       let timeout =
         if !waiters <> [] then 0.0
         else if stopping then 0.001
+        else if !listening then float_of_int (max 0 (!next_tick - Timing.now_ns ())) /. 1e9
         else t.cfg.tick_ms /. 1000.0
       in
       let r, wr, _ =
@@ -619,6 +682,17 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
         with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
       in
       if List.mem w.wake_r r then drain_wake ();
+      if !listening then begin
+        if List.mem t.listen_fd r then accept_pending t ~rr;
+        let now = Timing.now_ns () in
+        if now >= !next_tick then begin
+          next_tick := now + tick_ns;
+          incr ticks;
+          (* Sojourn percentiles walk every shard snapshot — sample them
+             at an eighth of the tick cadence. *)
+          update_level t ~check_sojourn:(!ticks land 7 = 0)
+        end
+      end;
       let did_io = ref false in
       List.iter
         (fun c ->
@@ -707,68 +781,6 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
     (try Unix.close w.wake_r with Unix.Unix_error _ -> ());
     (try Unix.close w.wake_w with Unix.Unix_error _ -> ())
 
-  (* {2 Supervisor: accepts and the ladder tick} *)
-
-  let wake w = try ignore (Unix.write w.wake_w (Bytes.make 1 '!') 0 1) with Unix.Unix_error _ -> ()
-
-  let supervisor_loop t =
-    let rr = ref 0 in
-    let ticks = ref 0 in
-    while not (Atomic.get t.stopping) do
-      let r, _, _ =
-        try Unix.select [ t.listen_fd ] [] [] (t.cfg.tick_ms /. 1000.0)
-        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      if r <> [] then begin
-        (* Accept-storm friendly: take everything pending this tick. *)
-        let continue = ref true in
-        while !continue do
-          match Unix.accept ~cloexec:true t.listen_fd with
-          | fd, _ ->
-              (* Capacity and shutdown gate the *connection*; the ladder
-                 gates individual RPCs. Rejecting conns at level 3 would
-                 lock out the reconnecting consumers that are the only
-                 way back down the ladder. *)
-              if Atomic.get t.stopping || Atomic.get t.nconns >= t.cfg.max_conns
-              then begin
-                (* Typed refusal, never a silent slam: best-effort write
-                   of a Rejected frame, then close. *)
-                Metrics.incr t.c_conn_rej;
-                let msg =
-                  Frame.encode
-                    (Protocol.encode_resp
-                       (Protocol.Error (Protocol.Rejected, "server at capacity")))
-                in
-                (try ignore (Unix.write_substring fd msg 0 (String.length msg))
-                 with Unix.Unix_error _ -> ());
-                try Unix.close fd with Unix.Unix_error _ -> ()
-              end
-              else begin
-                Unix.set_nonblock fd;
-                (try Unix.setsockopt fd Unix.TCP_NODELAY true
-                 with Unix.Unix_error _ -> ());
-                Metrics.incr t.c_conn_acc;
-                Atomic.incr t.nconns;
-                trace_instant t ~arg:(Atomic.get t.nconns) Trace.Accept;
-                let w = t.workers.(!rr mod Array.length t.workers) in
-                incr rr;
-                Mutex.lock w.inbox_mu; (* lint: allow raise-under-lock — Queue.add cannot raise *)
-                Queue.add fd w.inbox;
-                Mutex.unlock w.inbox_mu;
-                wake w
-              end
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              continue := false
-          | exception Unix.Unix_error (_, _, _) -> continue := false
-        done
-      end;
-      incr ticks;
-      (* Sojourn percentiles walk every shard snapshot — sample them at
-         an eighth of the tick cadence. *)
-      update_level t ~check_sojourn:(!ticks land 7 = 0)
-    done;
-    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
-
   (* {2 Lifecycle} *)
 
   let create ?(config = default_config) ~q ~addr () =
@@ -828,9 +840,7 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
     Metrics.gauge m "conns" (fun () -> Atomic.get t.nconns);
     Metrics.gauge m "in_flight" (fun () -> Atomic.get t.inflight);
     Metrics.gauge m "ladder_level" (fun () -> Atomic.get t.level);
-    let ws = Array.to_list (Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) workers) in
-    let sup = Domain.spawn (fun () -> supervisor_loop t) in
-    t.domains <- sup :: ws;
+    t.domains <- Array.to_list (Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) workers);
     t
 
   let shutdown t =

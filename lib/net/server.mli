@@ -1,10 +1,11 @@
 (** Multi-domain socket front-end over a sharded ZMSQ (DESIGN.md §12).
 
-    A supervisor domain accepts connections and drives the load-shedding
-    ladder; worker domains each run a [select] event loop over their
-    pinned connections (a connection's queue handle is registered,
+    The server runs [workers] domains, each a [select] event loop over
+    its pinned connections (a connection's queue handle is registered,
     used and — on abnormal death — orphaned by exactly one domain, so
-    the queue's single-owner handle rule holds by construction).
+    the queue's single-owner handle rule holds by construction). Worker
+    0 also owns the listen socket, handing accepted connections out
+    round-robin, and drives the load-shedding ladder every [tick_ms].
 
     Robustness layers, in order of appearance on an RPC's path:
     - {b admission}: per-connection inflight window ([Throttled]) and
@@ -36,7 +37,7 @@ module Make (Q : Zmsq.Shard.SHARDED) : sig
         (** admission ladder high-water mark on total backlog *)
     sojourn_hwm_ns : float;
         (** sampled sojourn p99 above this escalates to Throttle *)
-    tick_ms : float;  (** supervisor cadence: ladder refresh *)
+    tick_ms : float;  (** ladder refresh cadence (worker 0, time-based) *)
     idle_slice_ns : int;
         (** one [extract_timeout] slice while parked extract waiters
             outwait an empty queue (bounded so socket work stays live) *)
@@ -47,7 +48,7 @@ module Make (Q : Zmsq.Shard.SHARDED) : sig
   val default_config : config
 
   val create : ?config:config -> q:Q.t -> addr:Unix.sockaddr -> unit -> t
-  (** Binds, listens and starts the domains. The queue must have been
+  (** Binds, listens and starts [workers] domains. The queue must have been
       created with [blocking = true]; the server does not own [q]'s
       lifecycle until {!shutdown} (which closes it). Raises
       [Unix.Unix_error] when the address is unavailable. *)

@@ -80,27 +80,6 @@ module Make (P : Zmsq_prim.Intf.PRIM) = struct
     let release = P.Mutex.unlock
     let name = "mutex"
   end
-
-  module Ticket = struct
-    (* lint: unpadded next/owner on one line is the classic ticket-lock layout; both sides of the handoff touch both words *)
-    type t = { next : int Atomic.t; owner : int Atomic.t }
-
-    let create () = { next = Atomic.make 0; owner = Atomic.make 0 }
-
-    let acquire t =
-      let my = Atomic.fetch_and_add t.next 1 in
-      while Atomic.get t.owner <> my do
-        P.cpu_relax ()
-      done
-
-    let try_acquire t =
-      let cur = Atomic.get t.owner in
-      (* Only attempt if the lock appears free (next = owner). *)
-      Atomic.get t.next = cur && Atomic.compare_and_set t.next cur (cur + 1)
-
-    let release t = Atomic.incr t.owner
-    let name = "ticket"
-  end
 end
 
 include Make (Zmsq_prim.Native)

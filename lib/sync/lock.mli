@@ -39,7 +39,6 @@ module Make (P : Zmsq_prim.Intf.PRIM) : sig
   module Tas : S
   module Tatas : S
   module Mutex_lock : S
-  module Ticket : S
 end
 
 module Tas : S
@@ -51,6 +50,3 @@ module Tatas : S
 
 module Mutex_lock : S
 (** OS mutex ([Stdlib.Mutex]), standing in for C++ [std::mutex]. *)
-
-module Ticket : S
-(** Ticket lock (FIFO spin lock); used by ablation benchmarks. *)

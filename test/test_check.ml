@@ -46,7 +46,6 @@ let test_hazard_bug () = expect_detect_and_replay "hazard-publish-race"
 (* {2 Lock mutual exclusion} *)
 
 let test_tatas () = expect_pass "lock-tatas-mutual-exclusion"
-let test_ticket () = expect_pass "lock-ticket-mutual-exclusion"
 
 (* {2 ZMSQ under the model scheduler (randomized schedules)} *)
 
@@ -248,7 +247,6 @@ let suite =
     ("hazard protect pass", `Quick, test_hazard_ok);
     ("hazard publish race detected", `Quick, test_hazard_bug);
     ("tatas mutual exclusion", `Quick, test_tatas);
-    ("ticket mutual exclusion", `Quick, test_ticket);
     ("zmsq linearizable under model", `Slow, test_zmsq_lin);
     ("zmsq mound invariant under model", `Slow, test_zmsq_mound);
     ("replay deterministic", `Quick, test_replay_deterministic);

@@ -243,14 +243,18 @@ let test_retry_budgets () =
 module SQ = Zmsq.Shard.Default
 module Srv = Server.Make (SQ)
 
-let with_server ?config k =
+(* Every in-process case runs at [workers] 1 and 2: with one worker,
+   accepts, the ladder tick and RPC service share a single loop. *)
+let with_server ~workers ?(config = Srv.default_config) k =
   let q =
     SQ.create
       ~params:{ Zmsq.Params.default with blocking = true; shards = 2; stickiness = 4 }
       ()
   in
   let srv =
-    Srv.create ?config ~q ~addr:(Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) ()
+    Srv.create ~config:{ config with Srv.workers } ~q
+      ~addr:(Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
+      ()
   in
   Fun.protect ~finally:(fun () -> Srv.shutdown srv) (fun () -> k q srv)
 
@@ -259,8 +263,8 @@ let call_ok c req =
   | Ok resp -> resp
   | Error msg -> Alcotest.failf "transport error: %s" msg
 
-let test_server_insert_extract () =
-  with_server (fun _q srv ->
+let test_server_insert_extract ~workers () =
+  with_server ~workers (fun _q srv ->
       let c = Client.connect (Srv.sockaddr srv) in
       (match call_ok c Protocol.Ping with
       | Protocol.Pong -> ()
@@ -288,8 +292,8 @@ let test_server_insert_extract () =
       | r -> Alcotest.failf "empty-queue extract answered %s" (Protocol.resp_name r));
       Client.close c)
 
-let test_server_deadline_doomed () =
-  with_server (fun _q srv ->
+let test_server_deadline_doomed ~workers () =
+  with_server ~workers (fun _q srv ->
       let c = Client.connect (Srv.sockaddr srv) in
       (* Budget 0: expired by the time the worker dequeues it from the
          socket — refused without touching the queue. *)
@@ -316,16 +320,15 @@ let test_server_deadline_doomed () =
       | r -> Alcotest.failf "stats answered %s" (Protocol.resp_name r));
       Client.close c)
 
-let test_server_shed_ladder () =
+let test_server_shed_ladder ~workers () =
   let config =
     {
       Srv.default_config with
       Srv.max_elts_inflight = 64;
       tick_ms = 1.0;
-      workers = 1;
     }
   in
-  with_server ~config (fun _q srv ->
+  with_server ~workers ~config (fun _q srv ->
       let c = Client.connect (Srv.sockaddr srv) in
       (* Flood without consuming: backlog >= 4*hwm forces Reject. *)
       let elts = Array.init 256 (fun i -> Elt.pack ~priority:i ~payload:1) in
@@ -353,9 +356,9 @@ let test_server_shed_ladder () =
       | r -> Alcotest.failf "extract under shed answered %s" (Protocol.resp_name r));
       Client.close c)
 
-let test_server_pipelined_fifo_throttle () =
-  let config = { Srv.default_config with Srv.inflight_window = 1; workers = 1 } in
-  with_server ~config (fun _q srv ->
+let test_server_pipelined_fifo_throttle ~workers () =
+  let config = { Srv.default_config with Srv.inflight_window = 1 } in
+  with_server ~workers ~config (fun _q srv ->
       (* Raw socket: pipeline two inserts back to back. The second must
          be Throttled (window 1), and the responses must come back in
          request order. *)
@@ -395,8 +398,8 @@ let test_server_pipelined_fifo_throttle () =
       | r -> Alcotest.failf "second pipelined response was %s" (Protocol.resp_name r));
       Unix.close fd)
 
-let test_server_bad_frame_kills_conn () =
-  with_server (fun _q srv ->
+let test_server_bad_frame_kills_conn ~workers () =
+  with_server ~workers (fun _q srv ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.connect fd (Srv.sockaddr srv);
       (* An impossible length prefix: the server must cut the cord (no
@@ -434,8 +437,8 @@ let test_server_bad_frame_kills_conn () =
       Unix.close fd2;
       Client.close c)
 
-let test_server_graceful_drain () =
-  with_server (fun q srv ->
+let test_server_graceful_drain ~workers () =
+  with_server ~workers (fun q srv ->
       let c = Client.connect (Srv.sockaddr srv) in
       let n = 500 in
       let elts = Array.init n (fun i -> Elt.pack ~priority:(i land 1023) ~payload:i) in
@@ -484,8 +487,8 @@ let test_server_graceful_drain () =
             (geti "elts_extracted" + geti "elts_drained_shutdown")
       | _ -> Alcotest.fail "stats json malformed")
 
-let test_server_abrupt_disconnect_reclaims () =
-  with_server (fun q srv ->
+let test_server_abrupt_disconnect_reclaims ~workers () =
+  with_server ~workers (fun q srv ->
       (* Kill a connection mid-frame: the server must orphan its handle
          and reclaim it (staged inserts publish, hazard slot frees). *)
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -518,6 +521,60 @@ let test_server_abrupt_disconnect_reclaims () =
       Client.close c;
       ignore q)
 
+let at_workers f () =
+  List.iter
+    (fun workers ->
+      Printf.printf "workers = %d\n%!" workers;
+      f ~workers ())
+    [ 1; 2 ]
+
+(* {2 The zmsq_server binary} *)
+
+(* The built server: under [dune runtest] the test runs in
+   _build/default/test; run by hand, it runs from the repository root. *)
+let server_exe () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/zmsq_server.exe"; "_build/default/bin/zmsq_server.exe" ]
+  with
+  | Some p -> p
+  | None -> Alcotest.fail "bin/zmsq_server.exe is not built"
+
+(* SIGTERM the moment the listening line appears, as a benchmark or a
+   process manager may: the signal handlers must already be in place, so
+   every run drains and exits 0 instead of dying by the default action. *)
+let test_server_sigterm_after_listening () =
+  let exe = server_exe () in
+  for run = 1 to 20 do
+    let r, w = Unix.pipe ~cloexec:true () in
+    let pid = Unix.create_process exe [| exe; "--port"; "0" |] Unix.stdin Unix.stdout w in
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let rec until_listening () =
+      match input_line ic with
+      | line ->
+          if not (Astring.String.is_infix ~affix:"listening on" line) then
+            until_listening ()
+      | exception End_of_file -> Alcotest.failf "run %d: exited before listening" run
+    in
+    until_listening ();
+    Unix.kill pid Sys.sigterm;
+    let drained = ref false in
+    (try
+       while true do
+         if Astring.String.is_infix ~affix:"zmsq_server: drained (" (input_line ic) then
+           drained := true
+       done
+     with End_of_file -> ());
+    close_in ic;
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _, Unix.WEXITED n -> Alcotest.failf "run %d: exit code %d" run n
+    | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
+        Alcotest.failf "run %d: stopped by signal %d, no drain" run s);
+    checkb (Printf.sprintf "run %d printed its drained line" run) true !drained
+  done
+
 let suite =
   [
     ("frame round-trip", `Quick, test_frame_roundtrip);
@@ -527,11 +584,13 @@ let suite =
     ("protocol rejects malformed", `Quick, test_protocol_rejects);
     ("retry deterministic schedule", `Quick, test_retry_schedule);
     ("retry budgets exhaust loudly", `Quick, test_retry_budgets);
-    ("server insert/extract e2e", `Slow, test_server_insert_extract);
-    ("server doomed-work refusal", `Slow, test_server_deadline_doomed);
-    ("server shed ladder", `Slow, test_server_shed_ladder);
-    ("server pipelined FIFO + throttle", `Slow, test_server_pipelined_fifo_throttle);
-    ("server survives bad frames", `Slow, test_server_bad_frame_kills_conn);
-    ("server graceful drain", `Slow, test_server_graceful_drain);
-    ("server reclaims abrupt disconnect", `Slow, test_server_abrupt_disconnect_reclaims);
+    ("server insert/extract e2e", `Slow, at_workers test_server_insert_extract);
+    ("server doomed-work refusal", `Slow, at_workers test_server_deadline_doomed);
+    ("server shed ladder", `Slow, at_workers test_server_shed_ladder);
+    ("server pipelined FIFO + throttle", `Slow, at_workers test_server_pipelined_fifo_throttle);
+    ("server survives bad frames", `Slow, at_workers test_server_bad_frame_kills_conn);
+    ("server graceful drain", `Slow, at_workers test_server_graceful_drain);
+    ("server reclaims abrupt disconnect", `Slow, at_workers test_server_abrupt_disconnect_reclaims);
+    ("server binary drains on SIGTERM right after listening", `Slow,
+      test_server_sigterm_after_listening);
   ]

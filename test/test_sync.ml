@@ -336,7 +336,6 @@ let lock_suites =
       ("tas", (module Lock.Tas : Lock.S));
       ("tatas", (module Lock.Tatas : Lock.S));
       ("mutex", (module Lock.Mutex_lock : Lock.S));
-      ("ticket", (module Lock.Ticket : Lock.S));
     ]
 
 let suite =

@@ -1232,6 +1232,33 @@ let test_ring_hazard_retirement () =
       check Alcotest.bool "recycled <= retired" true (recycled <= retired));
   Ring.release_producer p
 
+(* A producer that read the tail word and then stalled while the next
+   generation was installed, sealed and drained must not re-install that
+   drained generation: the stale node would hold its table slot for good,
+   no later generation could seal past it, and an extract would spin on
+   residents no drain can reach. *)
+let test_ring_stale_advance () =
+  let r = Ring.create ~leaky:true ~slots:1 () in
+  let p = Ring.producer r in
+  let stale_w = Ring.tail_word r in
+  for k = 0 to 2 do
+    ignore (Ring.push p (Elt.of_priority k))
+  done;
+  let n, _ = ring_drain_prios ~demand:true p in
+  check Alcotest.int "generations 0-2 drained" 3 n;
+  (match Ring.try_advance r ~expect_w:stale_w with
+  | Ring.Contended | Ring.Table_full -> ()
+  | Ring.Advanced -> Alcotest.fail "a stale tail word advanced the ring");
+  for k = 0 to 4 * Ring.capacity r do
+    (match Ring.push p (Elt.of_priority k) with
+    | Zmsq.Ring.Rejected -> Alcotest.failf "push %d rejected on a drained ring" k
+    | Zmsq.Ring.Pushed | Zmsq.Ring.Pushed_sealed -> ());
+    let n, _ = ring_drain_prios ~demand:true p in
+    if n <> 1 then Alcotest.failf "drain %d took %d elements, not 1" k n
+  done;
+  check Alcotest.int "nothing stranded" 0 (Ring.resident r);
+  Ring.release_producer p
+
 let test_ring_params_validate () =
   Alcotest.check_raises "negative ring_len"
     (Invalid_argument "Params: ring_len out of range [0, 4096]") (fun () ->
@@ -1402,6 +1429,7 @@ let suite =
     mk "ring push/seal/reject" test_ring_push_seal_reject;
     mk "ring partial node needs demand" test_ring_partial_demand;
     mk "ring hazard retirement" test_ring_hazard_retirement;
+    mk "ring stale advancer cannot strand a generation" test_ring_stale_advance;
     mk "ring params validate" test_ring_params_validate;
     mk "ring queue routing" test_ring_queue_routing;
     mk "ring fallback conserves" test_ring_fallback_conserves;
