@@ -38,7 +38,6 @@ let latency_tests () =
     [
       ("zmsq", Zmsq_harness.Instances.zmsq ());
       ("zmsq-array", Zmsq_harness.Instances.zmsq_array ());
-      ("zmsq-lazy", Zmsq_harness.Instances.zmsq_lazy ());
       ("zmsq-leak", Zmsq_harness.Instances.zmsq_leak ());
       ("zmsq-strict", Zmsq_harness.Instances.zmsq ~params:Zmsq.Params.strict ());
       ( "zmsq-buffered",

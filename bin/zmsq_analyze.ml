@@ -2,7 +2,8 @@
    (default [lib/], which covers every library including obs, harness and
    dist) and runs the {!Zmsq_analysis} passes — the lock-discipline lint
    (R1/R2/R5), the raw-primitive rule (R3), the atomics padding audit
-   (R4) and the prim-functorization coverage gate (R6).
+   (R4), the prim-functorization coverage gate (R6) and the unbounded
+   spin rule (R7).
 
    Exit status is a bitmask so CI logs show which rule class regressed at
    a glance:
@@ -12,6 +13,8 @@
      2  raw-primitive finding
      4  padding-audit finding (unannotated Atomic.t field)
      8  prim-coverage regression below the blessed floor
+     16 unbounded-spin finding (a cpu_relax loop with no bound or
+        escalation)
      64 usage error
 
    Flags: [--json] writes the machine-readable inventory to
@@ -67,6 +70,7 @@ let () =
   let raw = count [ "raw-primitive" ] in
   let pad = count [ "unpadded-atomic" ] in
   let cov = count [ "prim-coverage" ] in
+  let spin = count [ "unbounded-spin" ] in
   Printf.printf "zmsq_analyze: %d file(s) under %s\n" (List.length files)
     (String.concat " " roots);
   Printf.printf "  rule class             findings  exit bit\n";
@@ -75,6 +79,7 @@ let () =
   Printf.printf "  padding-audit    R4     %7d  4\n" pad;
   Printf.printf "  prim-coverage    R6     %7d  8   (%.2f%% of %d sites, floor %.2f%%)\n" cov
     coverage.A.Coverage.pct coverage.A.Coverage.total blessed;
+  Printf.printf "  unbounded-spin   R7     %7d  16\n" spin;
 
   if !json || !bless then begin
     A.Audit.write_json ~path:audit_path ~entries:audit_entries ~coverage ~blessed_pct:blessed;
@@ -82,4 +87,4 @@ let () =
   end;
 
   let bit n c = if c > 0 then n else 0 in
-  exit (bit 1 lock lor bit 2 raw lor bit 4 pad lor bit 8 cov)
+  exit (bit 1 lock lor bit 2 raw lor bit 4 pad lor bit 8 cov lor bit 16 spin)

@@ -7,15 +7,14 @@
 let usage () =
   prerr_endline
     "usage: zmsq_soak [--secs S] [--seed N] [--producers N] [--consumers N]\n\
-    \                 [--buffer N] [--batch N] [--ring N] [--shards N]\n\
+    \                 [--buffer N] [--batch N] [--shards N]\n\
     \                 [--stale-ms MS] [--artifacts DIR] [--phases CSV]\n\
     \                 [--no-faults] [--quiet]\n\
      Fault-injected soak of the blocking/buffering queue; ZMSQ_SOAK_SECS\n\
      overrides the default duration. --phases takes a comma-separated\n\
      subset of: mixed,burst,producer-dies,consumer-starves,handle-churn,\n\
-     shard-churn,ring-ingress,server-overload. --shards sets the shard\n\
-     count of the shard-churn phase; --ring the slot count of the\n\
-     ring-ingress phase.";
+     shard-churn,server-overload. --shards sets the shard count of the\n\
+     shard-churn phase.";
   exit 2
 
 let () =
@@ -45,9 +44,6 @@ let () =
         parse rest
     | "--batch" :: v :: rest ->
         cfg := { !cfg with batch = int_of_string v };
-        parse rest
-    | "--ring" :: v :: rest ->
-        cfg := { !cfg with ring_len = int_of_string v };
         parse rest
     | "--shards" :: v :: rest ->
         cfg := { !cfg with shards = int_of_string v };

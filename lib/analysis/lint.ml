@@ -1,6 +1,6 @@
 (* Source-level lock-discipline lint over the library code.
 
-   Four rules, all driven by structured comments so the discipline is
+   Five rules, all driven by structured comments so the discipline is
    declared where it applies (see ANALYSIS.md for the full semantics):
 
    - [raise-under-lock] (R1): a [Mutex.lock] must be followed within a few
@@ -20,6 +20,11 @@
      [Unix.sleepf], [extract_blocking], ...) between a lock acquisition
      statement and its release — a sleeper holding a mutex stalls every
      thread that needs it, and under the model scheduler it deadlocks.
+   - [unbounded-spin] (R7): a loop that calls [cpu_relax] must either be
+     bounded by a counter or escalate to [Backoff], a yield, a sleep or a
+     park. A pure spin convoys as soon as the domains outnumber the
+     cores: the waiter burns the timeslice the holder needs. Deliberate
+     spins carry [(* lint: allow unbounded-spin <reason> *)].
 
    Findings on lines carrying [(* lint: allow <rule> *)] are suppressed.
    The engine is purely textual (line-based with indentation-scoped
@@ -319,6 +324,134 @@ let check_blocking_under_lock src =
     (scopes_of src.masked);
   !findings
 
+(* {2 R7: unbounded spins} *)
+
+(* The loop around a [cpu_relax] call is found by walking up the nesting
+   chain (each line indented less than everything seen so far): the first
+   [while]/[for] header or [let rec]/[and] binding is the loop, and a
+   plain function definition on the way means there is none. The loop's
+   extent is its body: up to the matching [done], or up to the next line
+   at or above a recursive binding's indentation. *)
+type loop = { header : int; last : int; counted : bool; rec_name : string option }
+
+let relax_call_re = Str.regexp "cpu_relax ()"
+let rec_header_re = Str.regexp "^\\(let rec\\|and\\) \\([a-z_][A-Za-z0-9_']*\\)"
+let ref_counter_re = Str.regexp "\\b\\(incr\\|decr\\) \\([a-z_][A-Za-z0-9_']*\\)"
+
+let enclosing_loop masked i =
+  let n = Array.length masked in
+  let rec up j min_ind =
+    if j < 0 then None
+    else
+      let line = masked.(j) in
+      let t = String.trim line in
+      let ind = indent_of line in
+      if is_blank line || ind >= min_ind then up (j - 1) min_ind
+      else if starts_with "while " t || starts_with "for " t then begin
+        let rec down k =
+          if k >= n then n - 1
+          else
+            let l = masked.(k) in
+            if is_blank l then down (k + 1)
+            else if indent_of l < ind then k - 1
+            else if indent_of l = ind && starts_with "done" (String.trim l) then k
+            else down (k + 1)
+        in
+        Some { header = j; last = down (j + 1); counted = starts_with "for " t; rec_name = None }
+      end
+      else if Str.string_match rec_header_re t 0 then begin
+        let rec down k =
+          if k >= n then n - 1
+          else if (not (is_blank masked.(k))) && indent_of masked.(k) <= ind then k - 1
+          else down (k + 1)
+        in
+        Some
+          {
+            header = j;
+            last = down (j + 1);
+            counted = false;
+            rec_name = Some (Str.matched_group 2 t);
+          }
+      end
+      else if starts_with "let " t && ends_with "=" t then None
+      else up (j - 1) ind
+  in
+  up (i - 1) (indent_of masked.(i))
+
+(* Whether the loop is counted: a [for] loop, a [ref] counter that the
+   body steps and some line of the loop compares ([while !spun < k],
+   [if !n > 0]), or a recursive call that steps an argument
+   ([go (n - 1)]). *)
+let loop_bounded text lp =
+  lp.counted
+  ||
+  let counters =
+    let rec collect pos acc =
+      match Str.search_forward ref_counter_re text pos with
+      | p -> collect (p + 1) (Str.matched_group 2 text :: acc)
+      | exception Not_found -> acc
+    in
+    collect 0 []
+  in
+  let compared x =
+    let x = Str.quote x in
+    (* [[^:]=] keeps an assignment ([n := !n + 1]) from reading as a test. *)
+    matches (Str.regexp ("!" ^ x ^ " *[<>=]\\|\\([<>]\\|[^:]=\\) *!" ^ x ^ "\\b")) text
+  in
+  List.exists compared counters
+  ||
+  match lp.rec_name with
+  | Some name -> matches (Str.regexp ("\\b" ^ Str.quote name ^ " (.* [-+] 1)")) text
+  | None -> false
+
+(* Escalation tokens: any of them inside the loop means the spin gives the
+   core away (or grows its pause) instead of spinning forever. *)
+let escalation_tokens =
+  [
+    "Backoff.";
+    "yield";
+    "sleep";
+    "Thread.delay";
+    "Futex.wait";
+    "Eventcount.wait";
+    "park";
+    "Condition.wait";
+  ]
+
+let spin_allowed raw =
+  (* The annotation must give a reason: a bare [allow unbounded-spin]
+     does not count. *)
+  matches (Str.regexp "lint: allow unbounded-spin +[^* ]") raw
+
+let check_unbounded_spin src =
+  let findings = ref [] in
+  Array.iteri
+    (fun i line ->
+      if matches relax_call_re line
+         && (not (starts_with "let " (String.trim line)))
+         && not (spin_allowed src.raw.(i))
+      then
+        match enclosing_loop src.masked i with
+        | None -> ()
+        | Some lp ->
+            let text = scope_text src.masked { start = lp.header; stop = lp.last } in
+            let escalates = List.exists (contains text) escalation_tokens in
+            if not (escalates || loop_bounded text lp) then
+              findings :=
+                {
+                  file = src.file;
+                  line = i + 1;
+                  rule = "unbounded-spin";
+                  message =
+                    Printf.sprintf
+                      "cpu_relax loop (line %d) has no bounded counter and no escalation to \
+                       Backoff/yield/sleep/park; it convoys when domains outnumber cores"
+                      (lp.header + 1);
+                }
+                :: !findings)
+    src.masked;
+  !findings
+
 (* {2 Driver} *)
 
 let lint_src src =
@@ -327,6 +460,7 @@ let lint_src src =
     @ check_guarded_by src
     @ check_raw_prims src
     @ check_blocking_under_lock src
+    @ check_unbounded_spin src
   in
   List.sort (fun a b -> compare (a.line, a.rule) (b.line, b.rule)) fs
 

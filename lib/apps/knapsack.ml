@@ -160,7 +160,7 @@ let solve_bb (inst_q : Intf.instance) problem ~threads =
           let e = I.Q.extract h in
           if Elt.is_none e then begin
             if Atomic.get inflight > 0 then begin
-              Domain.cpu_relax ();
+              Domain.cpu_relax (); (* lint: allow unbounded-spin one idle worker per domain *)
               loop ()
             end
           end

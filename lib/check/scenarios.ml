@@ -1200,88 +1200,6 @@ let zmsq_shard_conserve =
         (bodies, final));
   }
 
-(* {2 PR 9 ingress ring: slot-claim / node-recycle / combined-wait pairs}
-
-   The FAA ingress ring's protocol decisions get the same treatment: a
-   miniature twin per decision whose [~buggy] variant reverts it and must
-   be detected, plus real-queue scenarios with [ring_len > 0] that must
-   pass on the fixed code. *)
-
-(* Blocks through enabledness until [cond] holds — the model of a bounded
-   wait loop, keeping DFS finite (same shape as [await_sleepers]). *)
-let await_cond cond =
-  let obj = Sched.fresh_obj () in
-  Sched.op ~kind:Sched.Lock ~obj ~enabled:cond (fun () -> Sched.Ret ())
-
-(* Twin of the drain's ready-wait: a producer's slot claim (the FAA) and
-   its element write are separated by a preemption window. Sealing freezes
-   the claim count, so the drain knows exactly how many ready bumps must
-   still arrive; the fixed drain waits for [ready >= sealed] before
-   copying the node, while the buggy drain copies as soon as the node is
-   sealed and can consume a claimed-but-unwritten slot — the producer's
-   write then lands in a node the drain already emptied: a lost element. *)
-let ring_ready_mini ~buggy =
-  {
-    Explore.name = (if buggy then "ring-ready-mini-skip-wait" else "ring-ready-mini");
-    make =
-      (fun () ->
-        let tail = P.Atomic.make 0 in
-        let slot = P.Atomic.make (-1) in
-        let ready = P.Atomic.make 0 in
-        let producer () =
-          ignore (P.Atomic.fetch_and_add tail 1) (* claim the slot *);
-          P.Atomic.set slot 7 (* write the element *);
-          P.Atomic.incr ready (* announce the write *)
-        in
-        let drainer () =
-          await_cond (fun () -> P.Atomic.get tail >= 1);
-          let sealed = P.Atomic.get tail (* claim count, frozen at seal *) in
-          if not buggy then await_cond (fun () -> P.Atomic.get ready >= sealed);
-          if P.Atomic.get slot = -1 then
-            Sched.violation "ring drain consumed a claimed-but-unwritten slot"
-        in
-        ([ producer; drainer ], fun () -> ()));
-  }
-
-(* Twin of node retirement/recycling: generation 0 of a staging node was
-   drained in the prelude, leaving a stale ready count and element in the
-   node. Retirement must reset both before the freelist republishes it
-   (the leaky path) or hold the node back through hazard pointers until
-   no drain can still see it; the buggy recycle skips the reset, so the
-   generation-1 drain observes the stale ready count, copies the slot
-   before the new producer's write and hands generation 0's element out
-   a second time — a duplicate. *)
-let ring_recycle_mini ~buggy =
-  {
-    Explore.name =
-      (if buggy then "ring-recycle-mini-stale-node" else "ring-recycle-mini");
-    make =
-      (fun () ->
-        (* state after the prelude: gen 0 drained element 5 from the node *)
-        let ready = P.Atomic.make 1 in
-        let slot = P.Atomic.make 5 in
-        let drained = ref [ 5 ] in
-        (* recycle: the fixed path resets the node before reuse *)
-        if not buggy then begin
-          P.Atomic.set ready 0;
-          P.Atomic.set slot (-1)
-        end;
-        let producer () =
-          (* the gen-1 claim of the recycled node's slot *)
-          P.Atomic.set slot 9;
-          P.Atomic.incr ready
-        in
-        let drainer () =
-          await_cond (fun () -> P.Atomic.get ready >= 1);
-          drained := P.Atomic.get slot :: !drained
-        in
-        let final () =
-          if List.sort compare !drained <> [ 5; 9 ] then
-            Sched.violation "recycled ring node duplicated or lost an element"
-        in
-        ([ producer; drainer ], final));
-  }
-
 (* Twin of the sharded blocking wait (PR 8's rotating 200µs park slices
    vs the combined family eventcount): every shard's publication signals
    the family-shared word. The fixed waiter parks on that combined word,
@@ -1310,155 +1228,6 @@ let shard_wait_mini ~buggy =
           else mini_sleep_until combined ready
         in
         ([ inserter; waiter ], fun () -> ()));
-  }
-
-(* Real queue with the ingress ring enabled ([ring_len = 2], so staged
-   generations seal after two claims): concurrent producers insert
-   through the ring and extract; afterwards the mound invariant must
-   hold and a full drain through a fresh handle must account for every
-   element with nothing left resident in the ring or any buffer. *)
-let ring_model_params = { model_params with Zmsq.Params.ring_len = 2 }
-
-let zmsq_ring_conserve =
-  {
-    Explore.name = "zmsq-ring-conserve";
-    make =
-      (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
-        let q = Q.create ~params:ring_model_params () in
-        let extracted = ref [] in
-        let inserted = [ [ 9; 4; 6 ]; [ 8; 2 ] ] in
-        let body vals =
-          let h = Q.register q in
-          fun () ->
-            List.iter (fun v -> Q.insert h v) vals;
-            let v = Q.extract h in
-            if not (Elt.is_none v) then extracted := v :: !extracted;
-            Q.unregister h
-        in
-        let bodies = List.map body inserted in
-        let final () =
-          if not (Q.Debug.check_invariant q) then Sched.violation "mound invariant broken";
-          let h = Q.register q in
-          let rec drain acc =
-            let v = Q.extract h in
-            if Elt.is_none v then acc else drain (v :: acc)
-          in
-          let rest = drain [] in
-          Q.unregister h;
-          if Q.Debug.ring_resident q <> 0 then
-            Sched.violation "%d elements resident in the ring after a full drain"
-              (Q.Debug.ring_resident q);
-          if Q.Debug.buffered q <> 0 then
-            Sched.violation "%d elements still staged after a full drain"
-              (Q.Debug.buffered q);
-          let all = List.sort compare (List.concat inserted) in
-          let seen = List.sort compare (!extracted @ rest) in
-          if all <> seen then
-            Sched.violation "ring element conservation broken: %d in, %d accounted"
-              (List.length all) (List.length seen)
-        in
-        (bodies, final));
-  }
-
-(* Ring flush on [close ~drain:true]: the producer's elements may be
-   ring-resident at the moment of close ([buffered] counts them, so the
-   drain cannot complete early), and the blocking consumer must extract
-   every accepted element — the demand path drains the ring — before the
-   closed-and-empty outcome. A drain that completed with ring residents,
-   or a consumer that missed the completion broadcast, fails here. *)
-let zmsq_ring_drain_exact =
-  {
-    Explore.name = "zmsq-ring-drain-exact";
-    make =
-      (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
-        let q =
-          Q.create ~params:{ ring_model_params with Zmsq.Params.blocking = true } ()
-        in
-        let hp = Q.register q in
-        let hc = Q.register q in
-        let accepted = ref [] in
-        let got = ref [] in
-        let producer () =
-          List.iter
-            (fun v ->
-              try
-                Q.insert hp v;
-                accepted := v :: !accepted
-              with Zmsq.Queue_closed -> ())
-            [ 9; 4; 6 ];
-          (* publishes any ring-resident backlog via the courtesy drain *)
-          Q.unregister hp
-        in
-        let closer () = Q.close ~drain:true q in
-        let consumer () =
-          let rec go () =
-            let v = Q.extract_blocking hc in
-            if not (Elt.is_none v) then begin
-              got := v :: !got;
-              go ()
-            end
-          in
-          go ()
-        in
-        let final () =
-          if Q.lifecycle q <> Zmsq.Closed then
-            Sched.violation "ring drain completed without closing the queue";
-          if Q.Debug.ring_resident q <> 0 then
-            Sched.violation "close ~drain strand: %d elements left in the ring"
-              (Q.Debug.ring_resident q);
-          let seen = List.sort compare !got in
-          let want = List.sort compare !accepted in
-          if seen <> want then
-            Sched.violation "ring drain-exactness: %d accepted but %d drained"
-              (List.length want) (List.length seen)
-        in
-        ([ producer; closer; consumer ], final));
-  }
-
-(* Orphaned-producer reclamation of in-ring elements: the producer leaves
-   two elements staged in the ring and abandons its handle. Unlike a
-   buffered backlog, ring residents are globally reachable — the
-   scavenger only has to release the producer slot — so after [orphan] +
-   [reclaim_orphans] a fresh handle's demand drain must surface both
-   elements exactly once. *)
-let zmsq_ring_orphan_reclaim =
-  {
-    Explore.name = "zmsq-ring-orphan-reclaim";
-    make =
-      (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
-        let q = Q.create ~params:ring_model_params () in
-        let h = Q.register q in
-        let staged, await_staged = gate () in
-        let producer () =
-          Q.insert h 5;
-          Q.insert h 9;
-          staged ()
-          (* the handle is never unregistered: abandoned mid-ring *)
-        in
-        let scavenger () =
-          await_staged ();
-          Q.orphan h;
-          ignore (Q.reclaim_orphans q)
-        in
-        let final () =
-          let hd = Q.register q in
-          let rec drain acc =
-            let v = Q.extract hd in
-            if Elt.is_none v then acc else drain (v :: acc)
-          in
-          let rest = drain [] in
-          Q.unregister hd;
-          if Q.Debug.ring_resident q <> 0 then
-            Sched.violation "orphan reclaim strand: %d elements left in the ring"
-              (Q.Debug.ring_resident q);
-          if List.sort compare rest <> [ 5; 9 ] then
-            Sched.violation "orphaned in-ring elements lost or duplicated: %d reachable"
-              (List.length rest)
-        in
-        ([ producer; scavenger ], final));
   }
 
 (* {2 Chaos mode: the Faulty adapter under the model scheduler}
@@ -1578,69 +1347,6 @@ let zmsq_chaos_buffered =
               (List.length all) (List.length seen)
         in
         (producers @ [ consumer ], final));
-  }
-
-(* The ingress ring under lock chaos: trylock losses hit both the mound's
-   node locks (Trylock policy) and the ring's flush mutex, so drains are
-   repeatedly declined and elements linger sealed-but-undrained until a
-   later flush or the demand path claims them. Conservation through a
-   final full drain is the assertion. *)
-let zmsq_ring_chaos =
-  {
-    Explore.name = "zmsq-ring-chaos";
-    make =
-      (fun () ->
-        let module FP = Zmsq_prim.Faulty.Make (Shim.Prim) () in
-        let module FL = Zmsq_sync.Lock.Make (FP) in
-        let module L =
-          Zmsq_sync.Lock.Faulty
-            (FL.Tatas)
-            (struct
-              let fail_try_acquire = FP.Ctl.inject_try_acquire_failure
-            end)
-        in
-        FP.Ctl.install
-          { Zmsq_prim.Faulty.off with seed = chaos_seed; trylock_fail_1in = 3 };
-        let module Q = Zmsq.Make_prim (FP) (L) (Zmsq.List_set) in
-        let q =
-          Q.create
-            ~params:
-              {
-                ring_model_params with
-                Zmsq.Params.lock_policy = Zmsq.Params.Trylock;
-              }
-            ()
-        in
-        let extracted = ref [] in
-        let inserted = [ [ 9; 4 ]; [ 8; 2 ] ] in
-        let body vals =
-          let h = Q.register q in
-          fun () ->
-            List.iter (fun v -> Q.insert h v) vals;
-            let v = Q.extract h in
-            if not (Elt.is_none v) then extracted := v :: !extracted;
-            Q.unregister h
-        in
-        let bodies = List.map body inserted in
-        let final () =
-          if not (Q.Debug.check_invariant q) then Sched.violation "mound invariant broken";
-          let hd = Q.register q in
-          let rec drain acc =
-            let v = Q.extract hd in
-            if Elt.is_none v then acc else drain (v :: acc)
-          in
-          let rest = drain [] in
-          Q.unregister hd;
-          if Q.Debug.ring_resident q <> 0 then
-            Sched.violation "%d elements resident in the ring after a full drain"
-              (Q.Debug.ring_resident q);
-          let all = List.sort compare (List.concat inserted) in
-          let seen = List.sort compare (!extracted @ rest) in
-          if all <> seen then
-            Sched.violation "element conservation broken under ring chaos: %d in, %d accounted"
-              (List.length all) (List.length seen)
-        in
-        (bodies, final));
   }
 
 (* {2 Race-detector scenarios (PR 7)}
@@ -1845,32 +1551,13 @@ let all =
     (* ...and the real sharded queue under the random scheduler. *)
     { scenario = zmsq_shard_conserve; mode = Rand { executions = 200; seed = 0x54A2 };
       expect_fail = false; max_steps = 8000; max_executions = 0 };
-    (* PR 9 ingress-ring pairs: the slot-claim/ready wait, node recycling,
-       and the combined family wait as exhaustively explored miniature
-       twins (buggy variants revert the protocol and must be caught)... *)
-    { scenario = ring_ready_mini ~buggy:false; mode = Dfs; expect_fail = false;
-      max_steps = 300; max_executions = 20_000 };
-    { scenario = ring_ready_mini ~buggy:true; mode = Dfs; expect_fail = true;
-      max_steps = 300; max_executions = 20_000 };
-    { scenario = ring_recycle_mini ~buggy:false; mode = Dfs; expect_fail = false;
-      max_steps = 300; max_executions = 20_000 };
-    { scenario = ring_recycle_mini ~buggy:true; mode = Dfs; expect_fail = true;
-      max_steps = 300; max_executions = 20_000 };
+    (* The combined family wait as an exhaustively explored miniature
+       twin (the buggy variant parks on one shard's word and must be
+       caught). *)
     { scenario = shard_wait_mini ~buggy:false; mode = Dfs; expect_fail = false;
       max_steps = 400; max_executions = 50_000 };
     { scenario = shard_wait_mini ~buggy:true; mode = Dfs; expect_fail = true;
       max_steps = 400; max_executions = 50_000 };
-    (* ...and the real queue with the ring enabled, including under lock
-       chaos, on the random scheduler (ring drains spin on the ready
-       count, so DFS is out of reach here). *)
-    { scenario = zmsq_ring_conserve; mode = Rand { executions = 300; seed = 0x9106 };
-      expect_fail = false; max_steps = 8000; max_executions = 0 };
-    { scenario = zmsq_ring_drain_exact; mode = Rand { executions = 150; seed = 0x9107 };
-      expect_fail = false; max_steps = 20_000; max_executions = 0 };
-    { scenario = zmsq_ring_orphan_reclaim; mode = Rand { executions = 300; seed = 0x9108 };
-      expect_fail = false; max_steps = 8000; max_executions = 0 };
-    { scenario = zmsq_ring_chaos; mode = Rand { executions = 200; seed = 0x9109 };
-      expect_fail = false; max_steps = 8000; max_executions = 0 };
   ]
 
 let find name = List.find_opt (fun e -> e.scenario.Explore.name = name) all

@@ -166,7 +166,6 @@ module Prim : Zmsq_prim.Intf.PRIM = struct
   end
 
   let cpu_relax () = ()
-  let stall_backoff () = ()
   let name = "model"
 end
 

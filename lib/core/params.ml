@@ -13,7 +13,6 @@ type t = {
   initial_levels : int;
   forced_min_level : int;
   buffer_len : int;
-  ring_len : int;
   shards : int;
   stickiness : int;
   seed : int option;
@@ -35,7 +34,6 @@ let default =
     initial_levels = 5;
     forced_min_level = 3;
     buffer_len = 0;
-    ring_len = 0;
     shards = 1;
     stickiness = 8;
     seed = None;
@@ -52,10 +50,6 @@ let validate p =
   if p.buffer_len < 0 then invalid_arg "Params: buffer_len must be >= 0";
   if p.buffer_len > p.target_len then
     invalid_arg "Params: buffer_len must be <= target_len";
-  if p.ring_len < 0 || p.ring_len > 4096 then
-    invalid_arg "Params: ring_len out of range [0, 4096]";
-  if p.ring_len > p.target_len then
-    invalid_arg "Params: ring_len must be <= target_len";
   if p.shards < 1 then invalid_arg "Params: shards must be >= 1";
   if p.stickiness < 1 then invalid_arg "Params: stickiness must be >= 1";
   if p.obs_sample_shift < 0 || p.obs_sample_shift > 30 then
@@ -77,11 +71,6 @@ let dynamic ~ratio_num ~ratio_den ~threads =
 let with_batch batch p = validate { p with batch }
 let with_target_len target_len p = validate { p with target_len }
 let with_buffer_len buffer_len p = validate { p with buffer_len }
-let with_ring_len ring_len p = validate { p with ring_len }
-
-(* Staging-node generations resident in the ingress ring's node table; the
-   authoritative constant lives in {!Zmsq_ring}. *)
-let ring_capacity p = if p.ring_len = 0 then 0 else Zmsq_ring.generations * p.ring_len
 let with_shards shards p = validate { p with shards }
 let with_stickiness stickiness p = validate { p with stickiness }
 let with_seed seed p = { p with seed = Some seed }
@@ -94,8 +83,6 @@ let pp fmt p =
     (if p.blocking then " +blocking" else "")
     (if p.leaky then " +leaky" else "")
     (if p.buffer_len > 0 then Printf.sprintf " buf=%d" p.buffer_len else "")
-    ((if p.ring_len > 0 then Printf.sprintf " ring=%d" p.ring_len else "")
-    ^
-    if p.shards > 1 then Printf.sprintf " shards=%d sticky=%d" p.shards p.stickiness
-    else "")
+    (if p.shards > 1 then Printf.sprintf " shards=%d sticky=%d" p.shards p.stickiness
+     else "")
     (Zmsq_obs.Level.to_string p.obs)

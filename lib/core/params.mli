@@ -46,24 +46,9 @@ type t = {
           [batch + ndomains * buffer_len]. [0] (the default) disables
           buffering entirely and is bit-for-bit the unbuffered
           implementation. Must be [<= target_len] so a flush fits in one
-          leaf set without immediately violating the split bound. *)
-  ring_len : int;
-      (** extension (ROADMAP item 2, after the loony queue's tagged-pointer
-          FAA): slot count of each staging node in the lock-free ingress
-          ring ({!Zmsq_ring}) placed in front of the tree. Producers claim
-          a slot with a single fetch-and-add — no lock anywhere on the hot
-          insert path — and a flusher piggybacked on extraction and the
-          flush-demand path drains each full (or demanded) node into the
-          tree as one bulk leaf insertion. Elements resident in the ring
-          are counted like buffered ones (invisible to [peek]/[length]
-          until drained, reported by the [buffered] gauge), widening the
-          relaxation window by {!ring_capacity}, i.e.
-          [Zmsq_ring.generations * ring_len]. [0] (the default) disables
-          the ring entirely. Must be [<= target_len] so a node drain fits
-          in one leaf set, and [<= 4096] (the packed tail word reserves 20
-          bits for the slot index). Composes with [buffer_len]: buffered
-          handles publish their bulk flushes directly to the tree;
-          unbuffered inserts go through the ring. *)
+          leaf set without immediately violating the split bound. This is
+          the only staging path in front of the tree (DESIGN.md Section
+          11). *)
   shards : int;
       (** extension (after the Engineering MultiQueues line): number of
           independent ZMSQ instances composed by {!Zmsq.Shard}. The plain
@@ -127,16 +112,6 @@ val with_target_len : int -> t -> t
 val with_buffer_len : int -> t -> t
 (** Sets the per-handle insert-buffer capacity (re-validating, so raises
     if it exceeds [target_len]). [0] disables buffering. *)
-
-val with_ring_len : int -> t -> t
-(** Sets the ingress-ring staging-node slot count (re-validating, so
-    raises if it exceeds [target_len] or 4096). [0] disables the ring. *)
-
-val ring_capacity : t -> int
-(** Maximum number of elements the ingress ring can hold at once:
-    [Zmsq_ring.generations * ring_len] ([0] when the ring is off). This is
-    the term the ring adds to the relaxation window — see
-    {!Zmsq_harness.Accuracy.sharded_bound}. *)
 
 val with_shards : int -> t -> t
 (** Sets the shard count for {!Zmsq.Shard} (re-validating, so raises if

@@ -10,7 +10,6 @@ module Params = Params
 module Set_intf = Set_intf
 module List_set = List_set
 module Array_set = Array_set
-module Lazy_set = Lazy_set
 
 type counters = Zmsq_core.counters = {
   refills : int;
@@ -25,9 +24,6 @@ type counters = Zmsq_core.counters = {
   buf_flushes : int;
   buf_claims : int;
   orphan_reclaims : int;
-  ring_pushes : int;
-  ring_fallbacks : int;
-  ring_drained : int;
 }
 
 type lifecycle = Zmsq_core.lifecycle = Open | Draining | Closed
@@ -39,13 +35,10 @@ module type S = Zmsq_core.S
 module type S_FAMILY = Zmsq_core.S_FAMILY
 module type SHARDED = Zmsq_shard.SHARDED
 
-module Ring = Zmsq_ring
-
 module Make_prim = Zmsq_core.Make_prim
 module Make = Zmsq_core.Make
 module Default = Zmsq_core.Default
 module Array_q = Zmsq_core.Array_q
-module Lazy_q = Zmsq_core.Lazy_q
 module Tas_q = Zmsq_core.Tas_q
 module Mutex_q = Zmsq_core.Mutex_q
 module Shard = Zmsq_shard

@@ -22,12 +22,7 @@
       still returns within [b + 1] extractions, and a staged maximum is
       published no later than the owning handle's [buffer_len]-th
       subsequent insert, its next drained extract, or its [unregister];
-    - with the lock-free FAA ingress ring on ([ring_len > 0], see
-      {!Ring}), up to {!Params.ring_capacity} elements may additionally
-      be ring-resident, widening the window by that term; unlike buffered
-      elements, ring residents are reachable by {e every} handle, so an
-      [extract] never returns [none] while the ring is nonempty — it
-      drains the ring itself and retries;
+      the buffer is the only staging path (DESIGN.md Section 11);
     - [batch = 0] (with [buffer_len = 0]) degrades to a strict (exact)
       priority queue; [batch = 0] with buffering remains exact for a
       single handle (the local claim rule only fires when the staged head
@@ -48,13 +43,6 @@ module Params = Params
 module Set_intf = Set_intf
 module List_set = List_set
 module Array_set = Array_set
-module Lazy_set = Lazy_set
-
-module Ring = Zmsq_ring
-(** The bounded lock-free FAA ingress ring (DESIGN.md Section 11): the
-    staging area [params.ring_len > 0] places in front of the tree, after
-    the loony queue's tagged-pointer fetch-and-add. Exposed for the model
-    checker and tests; queue code reaches it through {!Params.t.ring_len}. *)
 
 (** Low-frequency event counters exposed for benchmarks and tests. *)
 type counters = {
@@ -70,9 +58,6 @@ type counters = {
   buf_flushes : int;  (** per-domain insert buffers published into the tree *)
   buf_claims : int;  (** extractions served from the caller's own buffer *)
   orphan_reclaims : int;  (** orphaned handles scavenged by {!S.reclaim_orphans} *)
-  ring_pushes : int;  (** elements claimed into the ingress ring by one FAA *)
-  ring_fallbacks : int;  (** ring-full claims that fell back to the locked path *)
-  ring_drained : int;  (** ring elements published into the tree by drains *)
 }
 
 type lifecycle =
@@ -137,12 +122,11 @@ module type S = sig
       [RelaxedConcurrentPriorityQueue::try_pop_until]). *)
 
   val flush : handle -> unit
-  (** Publish the handle's staged inserts into the tree immediately, and
-      drain the ingress ring with a forced seal (no-op when nothing is
-      staged or both [buffer_len] and [ring_len] are 0). Useful before a
-      quiescent inspection and for tests; normal code never needs it — the
-      flush policy (see {!Params.t.buffer_len}, {!Params.t.ring_len} and
-      DESIGN.md) publishes automatically. Remains legal after [close]:
+  (** Publish the handle's staged inserts into the tree immediately
+      (no-op when the buffer is empty or [params.buffer_len = 0]). Useful
+      before a quiescent inspection and for tests; normal code never needs
+      it — the flush policy (see {!Params.t.buffer_len} and DESIGN.md)
+      publishes automatically. Remains legal after [close]:
       staged elements were accepted before the close and must still be
       publishable. *)
 
@@ -243,14 +227,9 @@ module type S = sig
     (** Elements currently claimable from the pool (0 if empty). *)
 
     val buffered : t -> int
-    (** Elements currently staged outside the shared structure — in
-        per-domain insert buffers *and* in the ingress ring — excluded
-        from [length] and {!elements} until flushed/drained; 0 when
-        [buffer_len = ring_len = 0]. *)
-
-    val ring_resident : t -> int
-    (** Elements currently claimed into the ingress ring and not yet
-        drained (a subset of {!buffered}; 0 when [params.ring_len = 0]). *)
+    (** Elements currently staged in per-domain insert buffers (excluded
+        from [length] and {!elements} until flushed; 0 when
+        [params.buffer_len = 0]). *)
 
     val live_handles : t -> int
     (** Handles currently in the registry (registered, not yet
@@ -277,8 +256,8 @@ module type S_FAMILY = sig
 
   val create_family : params_of:(int -> Params.t) -> int -> t array
   (** [create_family ~params_of n] builds [n] independent queues sharing
-      one eventcount: every member's insert, bulk flush, ring push and
-      close signals through it. All members must agree on
+      one eventcount: every member's insert, bulk flush and close
+      signals through it. All members must agree on
       [Params.blocking]. *)
 
   val family_wait : t -> unit
@@ -306,10 +285,6 @@ module Default : S
 
 module Array_q : S
 (** TATAS trylocks + unsorted-array sets — the "(array)" curves. *)
-
-module Lazy_q : S
-(** TATAS trylocks + unordered-list sets — an ablation separating the cost
-    of the list *representation* from the cost of keeping it sorted. *)
 
 module Tas_q : S
 (** TAS trylocks + list sets (Figure 2). *)
@@ -351,8 +326,8 @@ end
     Blocking extraction takes one {e combined} wait over the whole shard
     set: the inner queues share a single eventcount
     ({!S_FAMILY.create_family}), the waiter's ticket is taken after the
-    two-choice sweep comes back empty, and every shard's insert, flush,
-    ring push and close signals through the shared counter — so an idle
+    two-choice sweep comes back empty, and every shard's insert, flush
+    and close signals through the shared counter — so an idle
     extractor neither spins across shards nor sleeps through a wake on a
     shard it is not parked on.
 
@@ -361,11 +336,11 @@ end
     a single-instant witness — it means every shard was observed exactly
     empty at {e some} point during the call. What is guaranteed: each
     inner extract never returns [none] while its own shard holds
-    published, staged or ring-resident elements, and the outer [extract]
+    published or staged elements, and the outer [extract]
     re-checks the per-shard sizes (refreshing every cached maximum) and
     runs one more full round before reporting empty — so the drain path,
     which re-polls until every shard closes, can never conclude empty
-    while elements are staged or ring-resident anywhere. *)
+    while elements are staged anywhere. *)
 module Shard : sig
   module type SHARDED = SHARDED
 

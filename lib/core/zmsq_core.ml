@@ -4,7 +4,6 @@ module Params = Params
 module Set_intf = Set_intf
 module List_set = List_set
 module Array_set = Array_set
-module Lazy_set = Lazy_set
 module Rng = Zmsq_util.Rng
 module Elt = Zmsq_pq.Elt
 module Metrics = Zmsq_obs.Metrics
@@ -24,9 +23,6 @@ type counters = {
   buf_flushes : int;
   buf_claims : int;
   orphan_reclaims : int;
-  ring_pushes : int;
-  ring_fallbacks : int;
-  ring_drained : int;
 }
 
 (* Queue lifecycle (DESIGN.md Section 9): [Open] accepts everything;
@@ -75,7 +71,6 @@ module type S = sig
     val elements : t -> Zmsq_pq.Elt.t list
     val pool_level : t -> int
     val buffered : t -> int
-    val ring_resident : t -> int
     val live_handles : t -> int
     val counters : t -> counters
     val eventcount_stats : t -> (int * int) option
@@ -95,8 +90,8 @@ module type S_FAMILY = sig
 
   val create_family : params_of:(int -> Params.t) -> int -> t array
   (** [create_family ~params_of n] builds [n] independent queues sharing
-      one eventcount: every member's insert, bulk flush, ring push and
-      close signals through it. All members must agree on
+      one eventcount: every member's insert, bulk flush and close
+      signals through it. All members must agree on
       [Params.blocking]. Used by {!Zmsq_shard}. *)
 
   val family_wait : t -> unit
@@ -116,7 +111,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
   module Plain = P.Plain
   module Eventcount = Zmsq_sync.Eventcount.Make (P)
   module Hazard = Zmsq_hp.Hazard.Make (P)
-  module Ring = Zmsq_ring.Make (P)
 
   type tnode = {
     lock : L.t;
@@ -165,11 +159,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     c_orphan_reclaims : Metrics.counter;
     c_qos_samples : Metrics.counter;
     c_qos_relaxed : Metrics.counter;
-    c_ring_pushes : Metrics.counter;
-    c_ring_seals : Metrics.counter;
-    c_ring_fallbacks : Metrics.counter;
-    c_ring_drains : Metrics.counter;
-    c_ring_drained : Metrics.counter;
   }
 
   type mhists = {
@@ -182,7 +171,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     h_rank_gap : Metrics.histogram;
     h_rank_err : Metrics.histogram;
     h_sojourn : Metrics.histogram;
-    h_ring_drain : Metrics.histogram;
   }
 
   (* Lifecycle states, packed into one atomic int. *)
@@ -208,8 +196,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     pool_next : int Atomic.t; (* lint: unpadded helper cursor; contended only during refill windows *)
     pool_fill : int Plain.t; (* last refill size; guarded by the root lock *)
     buffer_on : bool; (* params.buffer_len > 0, hoisted for the hot paths *)
-    ring_on : bool; (* params.ring_len > 0, hoisted for the hot paths *)
-    ring : Ring.t option; (* Some iff ring_on: the lock-free FAA ingress ring *)
     buffered : int Atomic.t; (* lint: unpadded staged-in-buffers count; touched once per batch, not per op *)
     flush_demand : bool Atomic.t; (* lint: unpadded consumer -> producers backlog signal; read-mostly, set on empty *)
     state : int Atomic.t; (* lint: unpadded lifecycle st_open/st_draining/st_closed; written twice per queue lifetime *)
@@ -235,7 +221,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     q : t;
     rng : Rng.t;
     hp_thread : tnode Hazard.thread option;
-    ring_p : Ring.producer option; (* Some iff ring_on: per-handle ring hazard record *)
     buf : Elt.t array; (* staged inserts, sorted ascending in [0, buf_n) *)
     buf_n : int Plain.t; (* race: benign — ownership handoff, see below *)
     buf_target : int Plain.t; (* adaptive fill threshold in [1, buffer_len] *)
@@ -286,11 +271,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
         pool_next = Atomic.make (-1);
         pool_fill = Plain.make ~name:"zmsq.pool_fill" 0;
         buffer_on = params.buffer_len > 0;
-        ring_on = params.ring_len > 0;
-        ring =
-          (if params.ring_len > 0 then
-             Some (Ring.create ~leaky:params.leaky ~slots:params.ring_len ())
-           else None);
         buffered = Atomic.make 0;
         flush_demand = Atomic.make false;
         state = Atomic.make st_open;
@@ -334,11 +314,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
             c_orphan_reclaims = Metrics.counter metrics "orphans_reclaimed_total";
             c_qos_samples = Metrics.counter metrics "qos_samples_total";
             c_qos_relaxed = Metrics.counter metrics "qos_relaxed_total";
-            c_ring_pushes = Metrics.counter metrics "ring_pushes_total";
-            c_ring_seals = Metrics.counter metrics "ring_seals_total";
-            c_ring_fallbacks = Metrics.counter metrics "ring_fallbacks_total";
-            c_ring_drains = Metrics.counter metrics "ring_drains_total";
-            c_ring_drained = Metrics.counter metrics "ring_drained_total";
           };
         mh =
           {
@@ -351,7 +326,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
             h_rank_gap = Metrics.histogram metrics "rank_gap_keys";
             h_rank_err = Metrics.histogram metrics "rank_error_sampled";
             h_sojourn = Metrics.histogram metrics "sojourn_ns";
-            h_ring_drain = Metrics.histogram metrics "ring_drain_ns";
           };
         tr = (if Obs_level.tracing params.obs then Some (Trace.create ()) else None);
       }
@@ -362,9 +336,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
         let n = Atomic.get q.pool_next in
         if q.params.batch = 0 || n < 0 then 0 else n + 1);
     Metrics.gauge metrics "buffered" (fun () -> Atomic.get q.buffered);
-    (match q.ring with
-    | Some r -> Metrics.gauge metrics "ring_resident" (fun () -> Ring.resident r)
-    | None -> ());
     (* 0 = open, 1 = draining, 2 = closed. *)
     Metrics.gauge metrics "closed" (fun () -> Atomic.get q.state);
     (* Age of the oldest armed sojourn probe: how long the oldest sampled
@@ -548,7 +519,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
         q;
         rng = Rng.create ~seed:(Atomic.fetch_and_add q.hseed 0x9E3779B9) ();
         hp_thread = Option.map Hazard.register q.hp;
-        ring_p = Option.map Ring.producer q.ring;
         buf = Array.make q.params.buffer_len Elt.none;
         buf_n =
           Plain.make ~name:"zmsq.handle.buf_n"
@@ -1013,167 +983,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
           Eventcount.signal_n ec n
     end
 
-  (* {2 Ingress ring (DESIGN.md Section 11)}
-
-     With [params.ring_len > 0] single inserts are claimed into the
-     lock-free FAA ring ({!Zmsq_ring}) instead of walking the tree; the
-     flusher below — piggybacked on extraction, [flush_demand] and explicit
-     [flush] calls, exactly like the buffer machinery above — publishes
-     each sealed staging node into the tree as one sorted bulk leaf
-     insertion. Ring-resident elements are accounted like buffered ones:
-     counted in [q.buffered] (never [q.size]) from claim to drain, so
-     [try_finish_drain] and the emptiness contract gain no new cases. The
-     crucial difference from a buffer: ring elements are reachable by
-     *any* handle (a drain needs a producer record only for hazard-pointer
-     retirement), so a crashed producer's in-ring elements are never
-     stranded — the next extraction drains them without scavenging. *)
-
-  let ring_drain ?(demand = false) h =
-    match h.ring_p with
-    | None -> 0
-    | Some rp ->
-        let q = h.q in
-        let t0 = if q.obs_full then Zmsq_util.Timing.now_ns () else 0 in
-        (* Under the flusher trylock only *detach*: copy each sealed
-           node's elements out and let the ring recycle the node. The
-           tree publication — the expensive part, dominated by node
-           locks and the occasional split — runs after [Ring.drain]
-           returns, so a publisher descheduled mid-insert cannot pin
-           [flush_mu] and with it the whole ring: the next seal's
-           courtesy drain (or a rejected producer's self-drain) still
-           gets the lock, and the table keeps turning over. Detached
-           elements stay counted in [q.buffered] until published, so
-           emptiness never under-reports. *)
-        let batches = ref [] in
-        let drained =
-          Ring.drain rp ~demand (fun scratch n ->
-              (* Same publication discipline as [bulk_flush], applied at
-                 detach time: the elements join [size] *here*, under the
-                 flusher lock, before they are visible anywhere — so a
-                 blocking consumer validating emptiness between this
-                 detach and the publication below still sees them coming
-                 and spins instead of sleeping (the publication itself
-                 sends no eventcount signal). They leave [buffered] only
-                 after they land. *)
-              ignore (Atomic.fetch_and_add q.size n);
-              batches := Array.sub scratch 0 n :: !batches)
-        in
-        List.iter
-          (fun buf ->
-            let n = Array.length buf in
-            (* The batch arrives in claim order; the bulk insert
-               machinery wants ascending priority. *)
-            Array.sort compare buf;
-            (* A sealed staging node holds up to [ring_len] elements —
-               typically close to [target_len] — and [select_position]'s
-               forced placement needs [count + room <= target_len], so a
-               whole-node bulk would always fall through to a regular
-               insert at the max position and split that node again and
-               again. Publish in chunks sized like the buffer's adaptive
-               minimum instead: small enough that most leaves can absorb
-               one in non-head positions, with the tree walk still
-               amortized over the chunk. *)
-            let chunk = max 1 (q.params.target_len / 8) in
-            let off = ref 0 in
-            while !off < n do
-              let m = min chunk (n - !off) in
-              let piece = if !off = 0 && m = n then buf else Array.sub buf !off m in
-              let bmax = piece.(m - 1) in
-              let rec attempt () =
-                let leaf, slot, force = select_position ~room:m h bmax in
-                let ok =
-                  if force then
-                    bulk_forced_insert_at q (protect_node h ~hpslot:0 leaf slot) piece m
-                  else begin
-                    let ilevel, islot = search_position h leaf slot bmax in
-                    bulk_regular_insert h ilevel islot piece m
-                  end
-                in
-                if not ok then begin
-                  tick q q.mc.c_retries;
-                  attempt ()
-                end
-              in
-              attempt ();
-              off := !off + m
-            done;
-            ignore (Atomic.fetch_and_add q.buffered (-n)))
-          (List.rev !batches);
-        if drained > 0 then begin
-          tick q q.mc.c_ring_drains;
-          if q.obs_on then Metrics.add q.mc.c_ring_drained drained;
-          (* No eventcount signal here: each element was credited by its
-             own push, and the waking extractor reaches these elements
-             through its own drain of the ring. *)
-          if demand then Atomic.set q.flush_demand false;
-          if q.obs_full then begin
-            Metrics.observe q.mh.h_ring_drain
-              (float_of_int (Zmsq_util.Timing.now_ns () - t0));
-            match q.tr with
-            | Some tr -> Trace.complete tr ~arg:drained ~t0 Trace.Ring_flush
-            | None -> ()
-          end
-        end;
-        drained
-
-  (* The hot insert path with the ring on: one FAA claims a slot, one plain
-     store publishes the element to the flusher — no lock, no tree walk.
-     [false] means the ring is full (every staging generation awaits a
-     drain); the caller falls back to the buffered or direct path. *)
-  let ring_insert h e =
-    match h.ring_p with
-    | None -> false
-    | Some rp ->
-        let q = h.q in
-        (* Counted as staged *before* the claim, mirroring insert_aux's
-           size-first discipline: a drain in progress cannot conclude the
-           queue empty while the push is in flight. *)
-        Atomic.incr q.buffered;
-        let rec claim backoffs =
-          match Ring.push rp e with
-          | Zmsq_ring.Rejected ->
-              (* Every staging generation awaits a drain. Before taking
-                 the slow locked path, try to be the flusher: a won
-                 trylock that publishes anything frees a generation, so
-                 the FAA claim is worth retrying. A held (or chaos-vetoed)
-                 [flush_mu] drains nothing — the usual cause is a producer
-                 descheduled mid-push (claim FAA done, ready bump pending),
-                 which stalls every drain of that generation. Hammering
-                 the locked fallback then just keeps the CPU away from the
-                 one thread that can unstick the ring, so back off a few
-                 timeslices first and re-claim; only a ring that stays
-                 full through the backoff budget falls back. Each arm is
-                 bounded (drains are paid for by published elements,
-                 backoffs by [backoffs]), so this cannot livelock. *)
-              if ring_drain ~demand:true h > 0 then claim backoffs
-              else if backoffs > 0 then begin
-                P.stall_backoff ();
-                claim (backoffs - 1)
-              end
-              else begin
-                Atomic.decr q.buffered;
-                tick q q.mc.c_ring_fallbacks;
-                false
-              end
-          | Zmsq_ring.Pushed ->
-              tick q q.mc.c_ring_pushes;
-              (match q.ec with None -> () | Some ec -> Eventcount.signal_after_insert ec);
-              (* A starved consumer's demand covers ring elements too: drain
-                 with a forced seal so the element just pushed is included. *)
-              if Atomic.get q.flush_demand then ignore (ring_drain ~demand:true h);
-              true
-          | Zmsq_ring.Pushed_sealed ->
-              tick q q.mc.c_ring_pushes;
-              tick q q.mc.c_ring_seals;
-              (match q.ec with None -> () | Some ec -> Eventcount.signal_after_insert ec);
-              (* A staging node just filled: publish it now (cheap trylock,
-                 no forced seal) so full nodes don't queue up behind a slow
-                 consumer. *)
-              ignore (ring_drain h);
-              true
-        in
-        claim 4
-
   let buf_insert h e =
     let q = h.q in
     (* Sorted ascending insertion shift; the handle's best staged element
@@ -1198,8 +1007,7 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
 
   let flush h =
     ensure_owner h "Zmsq.flush";
-    if h.q.buffer_on && Plain.get h.buf_n > 0 then bulk_flush h Manual;
-    if h.q.ring_on then ignore (ring_drain ~demand:true h)
+    if h.q.buffer_on && Plain.get h.buf_n > 0 then bulk_flush h Manual
 
   let insert_contended h = Plain.get h.contended
 
@@ -1219,11 +1027,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     in
     claim ();
     if h.q.buffer_on && Plain.get h.buf_n > 0 then bulk_flush h Unregister;
-    (* Courtesy drain before the producer record goes away — not needed for
-       reachability (any handle can drain the ring) but it keeps "unregister
-       publishes everything I staged" true for the ring as well. *)
-    if h.q.ring_on then ignore (ring_drain ~demand:true h);
-    Option.iter Ring.release_producer h.ring_p;
     Option.iter Hazard.unregister h.hp_thread;
     forget_handle h.q h
 
@@ -1248,11 +1051,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
           let n = Plain.get h.buf_n in
           if q.buffer_on && n > 0 then bulk_flush h Reclaim;
           published := !published + n;
-          (* The orphan's in-ring elements need no reclaim — they are
-             globally reachable and the extract path drains them — but its
-             ring hazard record must be released like the tree one, or dead
-             producers would exhaust the ring's max_threads. *)
-          Option.iter Ring.release_producer h.ring_p;
           Option.iter Hazard.unregister h.hp_thread;
           forget_handle q h;
           tick q q.mc.c_orphan_reclaims;
@@ -1356,13 +1154,7 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
        obs_sample_shift to 0 for per-op-complete histograms and traces. *)
     let sampled = qos_sampled q h in
     if sampled then arm_probe q e;
-    (* Ring first: the lock-free claim replaces both the buffer staging and
-       the tree walk. A [Rejected] claim (ring full) falls through to the
-       buffered or direct path, so inserts always make progress. Like the
-       buffered path, ring pushes skip the per-op latency histogram — the
-       batch-level [ring_drain_ns] span covers the publication cost. *)
-    if q.ring_on && ring_insert h e then ()
-    else if q.buffer_on then buf_insert h e
+    if q.buffer_on then buf_insert h e
     else if not sampled then insert_aux h e
     else begin
       let t0 = Zmsq_util.Timing.now_ns () in
@@ -1436,7 +1228,7 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
       (* Wait for lagging consumers holding indexes into the old pool. *)
       for i = 0 to Plain.get q.pool_fill - 1 do
         while not (Elt.is_none (Atomic.get q.pool.(i))) do
-          P.cpu_relax ()
+          P.cpu_relax () (* lint: allow unbounded-spin a claimed pool slot is read within a few steps *)
         done
       done;
       let count = Set.size root.set in
@@ -1497,21 +1289,14 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
 
   let extract_aux h =
     let q = h.q in
-    let ring_live () =
-      q.ring_on && (match q.ring with Some r -> Ring.resident r > 0 | None -> false)
-    in
     (* Reporting empty must be *conclusive*, not just consistent with the
        reads made so far: a blocking extractor that receives [none] burns
-       the eventcount ticket it took for this attempt, and a ring element's
-       credit was issued once, at push time. A batch being drained migrates
-       from the ring's [resident] into [size] (the detach sink bumps [size]
-       strictly before [resident] drops), so the element is visible to
-       *some* counter at every instant — but our size-then-resident read
-       order can straddle the migration and see zero twice. Re-reading both
-       after the [buffered] decision catches any element that moved: still
-       both zero means every element accepted before this call is either
-       extracted or staged in a buffer whose flush will signal later. *)
-    let conclusively_empty () = Atomic.get q.size = 0 && not (ring_live ()) in
+       the eventcount ticket it took for this attempt. Re-reading [size]
+       after the [buffered] decision catches an element published in
+       between: still zero means every element accepted before this call
+       is either extracted or staged in a buffer whose flush will signal
+       later. *)
+    let conclusively_empty () = Atomic.get q.size = 0 in
     let rec loop () =
       let v = extract_from_pool q in
       if not (Elt.is_none v) then finish v
@@ -1519,25 +1304,14 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
         let v = extract_pool h in
         if not (Elt.is_none v) then finish v
         else if Atomic.get q.size = 0 then
-          if ring_live () then begin
-            (* The published structure is drained but elements sit in the
-               ingress ring. Unlike another handle's buffer, the ring is
-               within every extractor's reach: drain it (with a forced
-               seal, so a partial staging node counts) and retry. A zero
-               drain just means another flusher holds the trylock — loop
-               until the residents are published. Extract therefore never
-               reports empty while the ring is nonempty. *)
-            ignore (ring_drain ~demand:true h);
-            loop ()
-          end
-          else if q.buffer_on && Plain.get h.buf_n > 0 then begin
+          if q.buffer_on && Plain.get h.buf_n > 0 then begin
             (* The published structure is drained but our own backlog is
                not: publish it and retry, so extract still succeeds on a
                queue this handle knows to be nonempty. *)
             bulk_flush h Drain;
             loop ()
           end
-          else if (q.buffer_on || q.ring_on) && Atomic.get q.buffered > 0 then begin
+          else if q.buffer_on && Atomic.get q.buffered > 0 then begin
             (* Elements are staged in other domains' buffers, out of our
                reach. If any of those handles is orphaned — its producer
                crashed without unregistering — scavenge it right here and
@@ -1560,7 +1334,7 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
             if conclusively_empty () then Elt.none else loop ()
           end
         else begin
-          P.cpu_relax ();
+          P.cpu_relax (); (* lint: allow unbounded-spin size counts an insert that is about to publish *)
           loop ()
         end
       end
@@ -1777,7 +1551,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
       if q.params.batch = 0 || n < 0 then 0 else n + 1
 
     let buffered q = Atomic.get q.buffered
-    let ring_resident q = match q.ring with None -> 0 | Some r -> Ring.resident r
     let live_handles q = with_handles_mu q (fun () -> List.length (Plain.get q.handles))
 
     let pool_elements q =
@@ -1859,9 +1632,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
           + Metrics.value q.mc.c_buf_flush_reclaim;
         buf_claims = Metrics.value q.mc.c_buf_claims;
         orphan_reclaims = Metrics.value q.mc.c_orphan_reclaims;
-        ring_pushes = Metrics.value q.mc.c_ring_pushes;
-        ring_fallbacks = Metrics.value q.mc.c_ring_fallbacks;
-        ring_drained = Metrics.value q.mc.c_ring_drained;
       }
 
     let eventcount_stats q =
@@ -1879,6 +1649,5 @@ module Make (L : Zmsq_sync.Lock.S) (Set : Set_intf.SET) : S_FAMILY =
 
 module Default = Make (Zmsq_sync.Lock.Tatas) (List_set)
 module Array_q = Make (Zmsq_sync.Lock.Tatas) (Array_set)
-module Lazy_q = Make (Zmsq_sync.Lock.Tatas) (Lazy_set)
 module Tas_q = Make (Zmsq_sync.Lock.Tas) (List_set)
 module Mutex_q = Make (Zmsq_sync.Lock.Mutex_lock) (List_set)

@@ -92,9 +92,9 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
      emptiness witness once [shards > 1]. The guarantee that *does* hold
      (and that the drain path relies on): [extract] re-checks the per-shard
      sizes before reporting empty, and each inner extract never returns
-     [none] while its own shard holds published, staged or ring-resident
-     elements — so a [none] means every shard was observed exactly empty at
-     some point during the call, merely not all at the same instant. *)
+     [none] while its own shard holds published or staged elements — so
+     a [none] means every shard was observed exactly empty at some point
+     during the call, merely not all at the same instant. *)
   let exact_emptiness = false
 
   let shard_seed = Atomic.make 0x51AD
@@ -425,8 +425,8 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
   (* {2 Blocking extraction: one combined wait over the whole shard set}
 
      The inner queues are created as a *family* sharing one eventcount
-     ([Q.create_family]): every shard's insert, bulk flush, ring push and
-     close signals the same counter. A blocking extractor takes its ticket
+     ([Q.create_family]): every shard's insert, bulk flush and close
+     signals the same counter. A blocking extractor takes its ticket
      against that counter — inside [family_wait], *after* the two-choice
      sweep came back empty — so a publication into any shard between the
      sweep and the sleep leaves the insert count above the ticket and the
@@ -537,9 +537,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     let pool_level t = Array.fold_left (fun acc q -> acc + Q.Debug.pool_level q) 0 t.shards
     let buffered t = Array.fold_left (fun acc q -> acc + Q.Debug.buffered q) 0 t.shards
 
-    let ring_resident t =
-      Array.fold_left (fun acc q -> acc + Q.Debug.ring_resident q) 0 t.shards
-
     let live_handles t =
       with_handles_mu t (fun () ->
           List.length
@@ -566,9 +563,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
             buf_flushes = acc.buf_flushes + c.Zmsq_core.buf_flushes;
             buf_claims = acc.buf_claims + c.Zmsq_core.buf_claims;
             orphan_reclaims = acc.orphan_reclaims + c.Zmsq_core.orphan_reclaims;
-            ring_pushes = acc.ring_pushes + c.Zmsq_core.ring_pushes;
-            ring_fallbacks = acc.ring_fallbacks + c.Zmsq_core.ring_fallbacks;
-            ring_drained = acc.ring_drained + c.Zmsq_core.ring_drained;
           })
         {
           Zmsq_core.refills = 0;
@@ -583,9 +577,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
           buf_flushes = 0;
           buf_claims = 0;
           orphan_reclaims = 0;
-          ring_pushes = 0;
-          ring_fallbacks = 0;
-          ring_drained = 0;
         }
         t.shards
 

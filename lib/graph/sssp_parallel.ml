@@ -41,7 +41,7 @@ let run (inst : Intf.instance) ~graph ~source ~threads =
           if Elt.is_none e then begin
             incr empty;
             if Atomic.get inflight > 0 then begin
-              Domain.cpu_relax ();
+              Domain.cpu_relax (); (* lint: allow unbounded-spin one idle worker per domain *)
               loop ()
             end
           end

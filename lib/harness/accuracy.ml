@@ -85,18 +85,10 @@ let max_zero_gap ranks =
    probability under the property suite's iteration counts (at s = 4:
    (1/2)^48 ≈ 4e-15). The slack term covers exactly those runs plus
    cached-maximum staleness; [shards = 1] collapses to the single-queue
-   bound.
-
-   When the ingress ring is enabled ([Params.ring_len > 0]) each inner
-   queue additionally stages up to [Params.ring_capacity] elements in
-   sealed-but-undrained ring nodes; those are invisible to extractors
-   until a drain pass lands them in the tree, so they widen each shard's
-   hiding window exactly like buffered elements do. Pass
-   [~ring_capacity:(Params.ring_capacity p)]; it defaults to 0 (ring
-   off). *)
-let sharded_bound ?(ring_capacity = 0) ~shards ~batch ~ndomains ~buffer_len () =
-  if shards < 1 || ring_capacity < 0 then invalid_arg "Accuracy.sharded_bound";
-  let per_shard = batch + (ndomains * buffer_len) + ring_capacity in
+   bound. *)
+let sharded_bound ~shards ~batch ~ndomains ~buffer_len =
+  if shards < 1 then invalid_arg "Accuracy.sharded_bound";
+  let per_shard = batch + (ndomains * buffer_len) in
   let selection_slack = if shards = 1 then 0 else 4 * shards * (shards - 1) in
   (shards * per_shard) + selection_slack
 

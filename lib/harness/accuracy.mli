@@ -37,17 +37,14 @@ val max_zero_gap : int list -> int
     sequence: [max_zero_gap ranks <= k] iff every window of [k + 1]
     consecutive extractions contained the then-true maximum. *)
 
-val sharded_bound :
-  ?ring_capacity:int -> shards:int -> batch:int -> ndomains:int -> buffer_len:int -> unit -> int
+val sharded_bound : shards:int -> batch:int -> ndomains:int -> buffer_len:int -> int
 (** Rank-error bound for [Zmsq.Shard]:
-    [shards * (batch + ndomains * buffer_len + ring_capacity)] (each
+    [shards * (batch + ndomains * buffer_len)] (each
     shard's single-queue window, stacked) plus a two-choice selection
     slack of [4 * shards * (shards - 1)] covering probabilistic
     shard-selection misses and cached-maximum staleness (zero when
     [shards = 1], where the expression collapses to the single-queue
-    bound). [ring_capacity] (default 0) is {!Zmsq.Params.ring_capacity}:
-    with the ingress ring enabled, each shard can additionally hide up to
-    a full ring of sealed-but-undrained elements. The property suite
+    bound). The property suite
     checks observed rank errors against it at shards ∈ {1, 2, 4}. *)
 
 val run : Instances.factory -> spec -> float

@@ -500,7 +500,6 @@ let ablation_variants =
 let set_variants =
   [
     ("set=list", fun params -> Instances.zmsq ~params ());
-    ("set=lazy-list", fun params -> Instances.zmsq_lazy ~params ());
     ("set=array", fun params -> Instances.zmsq_array ~params ());
   ]
 

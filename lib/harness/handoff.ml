@@ -48,7 +48,7 @@ let run mode spec =
             let i = Atomic.fetch_and_add next_item 1 in
             if i < spec.handoffs then begin
               while Q.length q > high_water do
-                Domain.cpu_relax ()
+                Domain.cpu_relax () (* lint: allow unbounded-spin producer backpressure of the Fig. 4 shape *)
               done;
               Atomic.set stamps.(i) (Timing.now_ns ());
               Q.insert h (Elt.pack ~priority:(Rng.int rng (1 lsl 20)) ~payload:i);
@@ -73,7 +73,7 @@ let run mode spec =
                 let rec spin () =
                   let e = Q.extract h in
                   if Elt.is_none e then begin
-                    Domain.cpu_relax ();
+                    Domain.cpu_relax (); (* lint: allow unbounded-spin the measured Fig. 4 spin consumer *)
                     spin ()
                   end
                   else e

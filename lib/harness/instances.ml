@@ -8,9 +8,6 @@ let zmsq ?(params = Zmsq.Params.default) () () =
 let zmsq_array ?(params = Zmsq.Params.default) () () =
   Intf.pack (module Zmsq.Array_q) (Zmsq.Array_q.create ~params ())
 
-let zmsq_lazy ?(params = Zmsq.Params.default) () () =
-  Intf.pack (module Zmsq.Lazy_q) (Zmsq.Lazy_q.create ~params ())
-
 let zmsq_leak ?(params = Zmsq.Params.default) () () =
   let params = { params with Zmsq.Params.leaky = true } in
   Intf.pack (module Zmsq.Default) (Zmsq.Default.create ~params ())
@@ -38,13 +35,12 @@ let klsm ?(k = 256) () () = Intf.pack (module Zmsq_klsm.Klsm) (Zmsq_klsm.Klsm.cr
 let locked_heap () = Intf.pack (module Zmsq_pq.Locked_heap) (Zmsq_pq.Locked_heap.create ())
 
 let names =
-  [ "zmsq"; "zmsq-array"; "zmsq-lazy"; "zmsq-leak"; "zmsq-tas"; "zmsq-mutex"; "zmsq-shard";
+  [ "zmsq"; "zmsq-array"; "zmsq-leak"; "zmsq-tas"; "zmsq-mutex"; "zmsq-shard";
     "mound"; "spraylist"; "multiqueue"; "klsm"; "locked-heap" ]
 
 let by_name = function
   | "zmsq" -> zmsq ()
   | "zmsq-array" -> zmsq_array ()
-  | "zmsq-lazy" -> zmsq_lazy ()
   | "zmsq-leak" -> zmsq_leak ()
   | "zmsq-tas" -> zmsq_tas ()
   | "zmsq-mutex" -> zmsq_mutex ()

@@ -11,9 +11,6 @@ val zmsq : ?params:Zmsq.Params.t -> unit -> factory
 val zmsq_array : ?params:Zmsq.Params.t -> unit -> factory
 (** The "(array)" variant. *)
 
-val zmsq_lazy : ?params:Zmsq.Params.t -> unit -> factory
-(** Unordered-list sets (sortedness ablation). *)
-
 val zmsq_leak : ?params:Zmsq.Params.t -> unit -> factory
 (** Hazard pointers disabled — the paper's "ZMSQ (leak)" curves. *)
 

@@ -38,7 +38,7 @@ let run factory spec =
               let e = I.Q.extract h in
               if Elt.is_none e then begin
                 incr failed;
-                Domain.cpu_relax ()
+                Domain.cpu_relax () (* lint: allow unbounded-spin the polling consumer is the measured shape *)
               end
               else Atomic.incr consumed;
               consume ()

@@ -158,26 +158,6 @@ let shard_speedup_run ~scale =
       ("sharded_mops", Json.Float !sharded);
     ] )
 
-(* FAA ingress-ring throughput (the ISSUE-9 gate): pure inserts at 4
-   domains with [ring_len = 64] staging in front of the tree, so the hot
-   path is one FAA + one plain store and the tree is fed by bulk drains
-   on the seal boundary. Gated two ways: against the blessed baseline
-   like every experiment, and by an absolute floor (0.603 Mops/s by
-   default) so a refactor that silently routes inserts back through the
-   locked path fails even on a freshly-blessed baseline. *)
-let ring_params = P.(default |> with_batch 48 |> with_target_len 72 |> with_ring_len 64)
-
-let ring_run ~scale =
-  let t = threads () in
-  let spec = insert_spec ~scale ~threads:t ~total:400_000 in
-  let mops = Throughput.run_avg ~repeats:3 (Instances.zmsq ~params:ring_params ()) spec in
-  ( mops,
-    [
-      ("threads", Json.Int t);
-      ("total_ops", Json.Int spec.Throughput.total_ops);
-      ("ring_len", Json.Int 64);
-    ] )
-
 (* Single-thread roofline: ns per steady-state insert+extract pair on a
    10K-element queue, ZMSQ (via its concurrent API) over [Binary_heap]
    (the sequential reference). The *ratio* is the gated metric — absolute
@@ -379,20 +359,6 @@ let experiments =
           (float_of_int (Zmsq_util.Env.int "ZMSQ_PERFCI_SHARD_SPEEDUP_FLOOR_X10" ~default:15)
           /. 10.0);
       e_run = shard_speedup_run;
-    };
-    {
-      e_id = "ring_insert_mops";
-      e_title = "100% inserts with ring=64 (FAA ingress ring)";
-      e_unit = "Mops/s";
-      e_higher_better = true;
-      e_threshold_pct = 35.0;
-      e_limit =
-        (* Floor: the lock-free ingress path must clear this absolute
-           insert-heavy rate at the CI thread count. *)
-        Some
-          (float_of_int (Zmsq_util.Env.int "ZMSQ_PERFCI_RING_FLOOR_MOPS_X1000" ~default:603)
-          /. 1000.0);
-      e_run = ring_run;
     };
     {
       e_id = "server_e2e_p99_ns";

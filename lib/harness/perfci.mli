@@ -2,10 +2,8 @@
     regression CI (driven by [bin/zmsq_perfci]).
 
     The suite runs a pinned subset of the registry's shapes — fig5a
-    throughput, the fig4 blocking handoff, the insert-buffer experiment,
-    the sharded insert-heavy gate and the FAA ingress-ring insert gate
-    (floor-limited, so rerouting inserts off the lock-free path fails
-    even against a fresh baseline) — plus a single-thread roofline (ZMSQ
+    throughput, the fig4 blocking handoff, the insert-buffer experiment
+    and the sharded insert-heavy gate — plus a single-thread roofline (ZMSQ
     vs {!Zmsq_pq.Binary_heap} pair latency, gated as a
     machine-independent ratio) and the full-observability overhead
     measurement. Results are compared against

@@ -78,7 +78,6 @@ type phase =
   | Consumer_starves
   | Handle_churn
   | Shard_churn
-  | Ring_ingress
   | Server_overload
 
 let phase_name = function
@@ -88,7 +87,6 @@ let phase_name = function
   | Consumer_starves -> "consumer-starves"
   | Handle_churn -> "handle-churn"
   | Shard_churn -> "shard-churn"
-  | Ring_ingress -> "ring-ingress"
   | Server_overload -> "server-overload"
 
 let phase_of_name = function
@@ -98,7 +96,6 @@ let phase_of_name = function
   | "consumer-starves" -> Some Consumer_starves
   | "handle-churn" -> Some Handle_churn
   | "shard-churn" -> Some Shard_churn
-  | "ring-ingress" -> Some Ring_ingress
   | "server-overload" -> Some Server_overload
   | _ -> None
 
@@ -110,7 +107,6 @@ let all_phases =
     Consumer_starves;
     Handle_churn;
     Shard_churn;
-    Ring_ingress;
     Server_overload;
   ]
 
@@ -147,7 +143,6 @@ type config = {
   consumers : int;
   batch : int;
   buffer_len : int;
-  ring_len : int;  (** per-node slot count for the ring-ingress phase *)
   stale_ms : float;
   faults : faults;
   artifacts_dir : string option;
@@ -164,7 +159,6 @@ let default_config =
     consumers = 2;
     batch = 48;
     buffer_len = 8;
-    ring_len = 8;
     stale_ms = 1500.;
     faults = default_faults;
     artifacts_dir = None;
@@ -268,11 +262,6 @@ let run_phase cfg ~index ~phase ~dur ~last =
         Zmsq.Params.default with
         batch = cfg.batch;
         buffer_len = cfg.buffer_len;
-        (* The FAA ingress ring is exercised by its own phase so the other
-           phases keep measuring the staging paths they were written for;
-           under the fault adapter every ring claim runs through
-           [FP.fetch_and_add]'s injected stall windows. *)
-        ring_len = (match phase with Ring_ingress -> max 1 cfg.ring_len | _ -> 0);
         blocking = true;
         obs = Zmsq_obs.Level.Full;
         (* Dense QoS sampling (1 in 16): soak phases are short, and the
@@ -352,7 +341,7 @@ let run_phase cfg ~index ~phase ~dur ~last =
           (* Parks inside the first cpu_relax; released by the teardown
              thaw, after which [stop] is already set. *)
           while not (Stdlib.Atomic.get stop) do
-            FP.cpu_relax ()
+            FP.cpu_relax () (* lint: allow unbounded-spin the crashed victim parks in the Faulty freeze *)
           done
         end
         else
@@ -391,19 +380,6 @@ let run_phase cfg ~index ~phase ~dur ~last =
           end
         in
         churn ()
-    | Ring_ingress ->
-        (* Insert bursts sized past one ring node so producers regularly
-           seal generations themselves (the FAA-claim / seal / drain
-           handoff), with occasional explicit flushes forcing the demand
-           drain while other producers are mid-claim — exactly the window
-           the injected FAA stalls hold open. *)
-        while not (Stdlib.Atomic.get stop) do
-          for _ = 1 to cfg.ring_len + (1 + Rng.int rng cfg.ring_len) do
-            ins_one h rng
-          done;
-          if Rng.int rng 8 = 0 then Q.flush h;
-          if Rng.int rng 64 = 0 then Unix.sleepf 0.0002
-        done
     | Shard_churn | Server_overload ->
         (* Dispatched to dedicated runners by [run]; never reaches here. *)
         assert false);
@@ -615,28 +591,13 @@ let run_phase cfg ~index ~phase ~dur ~last =
   let sojourn_p99_ns =
     match qhist "sojourn_ns" with Some h -> Hist.percentile h 99.0 | None -> 0.0
   in
-  let relax_bound =
-    cfg.batch
-    + ((cfg.producers + cfg.consumers + 1) * cfg.buffer_len)
-    + Zmsq.Params.ring_capacity params
-  in
+  let relax_bound = cfg.batch + ((cfg.producers + cfg.consumers + 1) * cfg.buffer_len) in
   if qos_samples > 0 && rank_err_max > float_of_int relax_bound then
     violation
       (Printf.sprintf
          "relaxation bound: sampled rank error %.0f exceeds batch + \
-          ndomains*buffer_len + ring_capacity = %d"
+          ndomains*buffer_len = %d"
          rank_err_max relax_bound);
-  (match phase with
-  | Ring_ingress ->
-      (* The phase is pointless if inserts bypassed the ring, and any
-         resident left after unregister+drain is a stranded element. *)
-      if (Q.Debug.counters q).Zmsq.ring_pushes = 0 then
-        violation "ring-ingress: no insert ever claimed a ring slot";
-      if Q.Debug.ring_resident q <> 0 then
-        violation
-          (Printf.sprintf "ring-ingress: %d elements stranded in the ring after drain"
-             (Q.Debug.ring_resident q))
-  | _ -> ());
   log
     (Printf.sprintf "done in %.2fs: inserted=%d extracted=%d drained=%d \
                      reclaimed=%d sleeps=%d wakes=%d qos=%d rank_err_max=%.0f \
@@ -933,12 +894,9 @@ let run_shard_phase cfg ~index ~phase ~dur ~last =
   let rank_gap_p99 = merge_hist "rank_gap_keys" (fun h -> Hist.percentile h 99.0) in
   let sojourn_p99_ns = merge_hist "sojourn_ns" (fun h -> Hist.percentile h 99.0) in
   let relax_bound =
-    (* The shard-churn phase runs with the ingress ring off
-       ([ring_capacity] defaults to 0); ring-ingress is a dedicated
-       single-queue phase. *)
     Accuracy.sharded_bound ~shards:cfg.shards ~batch:cfg.batch
       ~ndomains:(cfg.producers + cfg.consumers + 1)
-      ~buffer_len:cfg.buffer_len ()
+      ~buffer_len:cfg.buffer_len
   in
   if qos_samples > 0 && rank_err_max > float_of_int relax_bound then
     violation

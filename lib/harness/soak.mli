@@ -7,9 +7,8 @@
     one-shot producers racing consumer demand, rapid handle churn that
     deliberately exhausts the hazard-slot budget, shard churn (sticky
     inserters migrating across a {!Zmsq.Shard} build, a fraction abandoned
-    via orphan, under injected trylock losses), and ring ingress (bursty
-    inserts claiming FAA ring slots while injected FAA-window stalls park
-    producers between claim and publish) — all on top of the
+    via orphan, under injected trylock losses), and a socket server
+    flooded past its admission ladder — all on top of the
     {!Zmsq_prim.Faulty} adapter, so trylock failures, delayed futex wakes,
     spurious timeouts and scheduling stalls fire continuously under real
     parallelism.
@@ -69,11 +68,6 @@ type phase =
   | Consumer_starves
   | Handle_churn
   | Shard_churn
-  | Ring_ingress
-      (** bursty inserts through the FAA ingress ring ([ring_len > 0]):
-          producers seal generations themselves while injected FAA stalls
-          park claimants inside the claim/publish window; checks that the
-          ring was actually exercised and that drains strand nothing *)
   | Server_overload
       (** the lib/net socket front-end over the sharded queue, flooded
           past its admission ladder with wire faults on both sides of
@@ -125,7 +119,6 @@ type config = {
   consumers : int;
   batch : int;
   buffer_len : int;
-  ring_len : int;  (** per-node ring slot count for the ring-ingress phase *)
   stale_ms : float;
   faults : faults;
   artifacts_dir : string option;
@@ -135,7 +128,7 @@ type config = {
 }
 
 val default_config : config
-(** seed 1, 2 s, 2x2 domains, batch 48, buffer 8, ring 8, stale 1500 ms,
+(** seed 1, 2 s, 2x2 domains, batch 48, buffer 8, stale 1500 ms,
     {!default_faults}, no artifacts, no log, {!all_phases}, 4 shards. *)
 
 val run : config -> report

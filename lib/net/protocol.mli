@@ -11,7 +11,7 @@ type req =
   | Ping
   | Insert of { budget_ns : int; elts : Zmsq_pq.Elt.t array }
       (** Batched insert; the server applies the batch and flushes it as
-          one unit (the ingress-ring drain boundary). [budget_ns] is the
+          one unit (the staged-buffer flush boundary). [budget_ns] is the
           client's patience: a batch still queued on the socket past it
           is refused, not half-applied. *)
   | Extract of { budget_ns : int; max_n : int }

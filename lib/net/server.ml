@@ -171,8 +171,8 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
   (* {2 The load-shedding ladder}
 
      Backlog counts everything admission has let in but extraction has
-     not yet removed: published shard contents, staged buffers and
-     ring residents, plus RPCs in flight inside the server. Steps up are
+     not yet removed: published shard contents and staged buffers,
+     plus RPCs in flight inside the server. Steps up are
      immediate; steps down require dropping below 80% of the current
      step's threshold (hysteresis, so the ladder does not flap at a
      boundary and shed decisions stay explainable). A sampled sojourn
@@ -365,8 +365,8 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
                        incr applied)
                      elts
                  with Zmsq.Queue_closed -> ());
-                (* One flush per batch: the staged/ring drain boundary is
-                   the RPC boundary. *)
+                (* One flush per batch: the staged-buffer flush boundary
+                   is the RPC boundary. *)
                 (try Q.flush h with Zmsq.Queue_closed -> ());
                 if !applied > 0 then
                   finish t conn ~t0:rpc.r_t0 t.c_comp (Protocol.Inserted !applied)

@@ -10,8 +10,8 @@
     Robustness layers, in order of appearance on an RPC's path:
     - {b admission}: per-connection inflight window ([Throttled]) and
       the global ladder Accept → Throttle → Shed-inserts → Reject,
-      driven by backlog (shard sizes + staged + ring-resident + server
-      in-flight) with step-down hysteresis and a sojourn-p99 escalation;
+      driven by backlog (shard sizes + staged + server in-flight)
+      with step-down hysteresis and a sojourn-p99 escalation;
       every shed decision is a typed protocol error, never a drop;
     - {b deadline budgets}: each RPC's budget is stamped into an
       absolute deadline (saturating) at decode; work whose budget is

@@ -14,7 +14,6 @@ type kind =
   | Reclaim
   | Drain
   | Shard_select
-  | Ring_flush
   | Accept
   | Rpc
 
@@ -34,7 +33,6 @@ let kind_name = function
   | Reclaim -> "reclaim"
   | Drain -> "drain"
   | Shard_select -> "shard_select"
-  | Ring_flush -> "ring_flush"
   | Accept -> "accept"
   | Rpc -> "rpc"
 
@@ -54,7 +52,7 @@ let kind_code = function
   | Reclaim -> 12
   | Drain -> 13
   | Shard_select -> 14
-  | Ring_flush -> 15
+  (* 15 is retired: existing traces keep their codes for [Accept]/[Rpc]. *)
   | Accept -> 16
   | Rpc -> 17
 
@@ -74,9 +72,9 @@ let kind_of_code = function
   | 12 -> Reclaim
   | 13 -> Drain
   | 14 -> Shard_select
-  | 15 -> Ring_flush
   | 16 -> Accept
-  | _ -> Rpc
+  | 17 -> Rpc
+  | c -> invalid_arg (Printf.sprintf "Trace.kind_of_code: %d" c)
 
 (* One ring per domain slot. A span is recorded on [span_end] as a
    complete event (begin timestamp + duration), which keeps the dump

@@ -33,9 +33,6 @@ type kind =
   | Shard_select
       (** a sharded queue's routing decision ([arg] = the chosen shard):
           a sticky-insert re-roll or a two-choice extraction pick *)
-  | Ring_flush
-      (** an ingress-ring drain published into the tree ([arg] = elements
-          drained across all staging nodes in the pass) *)
   | Accept
       (** the server front-end accepted a connection ([arg] = live
           connection count after the accept) *)
@@ -44,6 +41,14 @@ type kind =
           ([arg] = the request opcode) *)
 
 val kind_name : kind -> string
+
+val kind_code : kind -> int
+(** The kind's code in recorded events. Codes are stable: a kind that is
+    removed retires its code rather than renumbering the ones after it. *)
+
+val kind_of_code : int -> kind
+(** Inverse of {!kind_code}; raises [Invalid_argument] on a code that
+    names no kind. *)
 
 val create : ?capacity:int -> unit -> t
 (** [capacity] is events retained per domain ring (default 4096, min 16). *)

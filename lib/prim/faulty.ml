@@ -227,7 +227,7 @@ end = struct
     if Stdlib.Atomic.get frozen.(k) && not (Stdlib.Atomic.get exempt.(k)) then begin
       Stdlib.Atomic.incr c_freeze_waits;
       while Stdlib.Atomic.get frozen.(k) do
-        P.cpu_relax ()
+        P.cpu_relax () (* lint: allow unbounded-spin a frozen domain models a descheduled thread *)
       done
     end
 
@@ -415,10 +415,6 @@ end = struct
   let cpu_relax () =
     tick ();
     P.cpu_relax ()
-
-  let stall_backoff () =
-    tick ();
-    P.stall_backoff ()
 
   let name = "faulty(" ^ P.name ^ ")"
 end

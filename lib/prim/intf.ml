@@ -97,14 +97,5 @@ module type PRIM = sig
   (** Spin-loop hint. A no-op under the checker (every spin loop must
       contain an atomic read, which is already a yield point). *)
 
-  val stall_backoff : unit -> unit
-  (** A stronger [cpu_relax] for waiting on another domain's
-      *descheduled* store (e.g. the ingress ring is full behind a
-      producer parked mid-push): surrender the rest of the timeslice
-      with a short timed sleep so the stalled writer can run, instead
-      of burning the quantum it needs. A no-op under the checker — the
-      model has no timeslices, and the retry loop around the call
-      already yields through its atomic reads. *)
-
   val name : string
 end

@@ -75,8 +75,4 @@ end
 
 let cpu_relax = Domain.cpu_relax
 
-(* Long enough that the kernel actually reschedules; short enough that a
-   producer parked for a full timeslice wakes us with little added lag. *)
-let stall_backoff () = Unix.sleepf 50e-6
-
 let name = "native"

@@ -44,7 +44,7 @@ module Make (P : Zmsq_prim.Intf.PRIM) = struct
 
     let acquire t =
       while Atomic.exchange t true do
-        P.cpu_relax ()
+        P.cpu_relax () (* lint: allow unbounded-spin the Fig. 2 TAS spinlock *)
       done
 
     let release t = Atomic.set t false
@@ -60,7 +60,7 @@ module Make (P : Zmsq_prim.Intf.PRIM) = struct
     let acquire t =
       let rec go () =
         if Atomic.get t then begin
-          P.cpu_relax ();
+          P.cpu_relax (); (* lint: allow unbounded-spin the Fig. 2 TATAS spinlock *)
           go ()
         end
         else if Atomic.exchange t true then go ()

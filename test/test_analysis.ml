@@ -260,6 +260,89 @@ let f (a : int P.Atomic.t) = P.Atomic.get a
   check Alcotest.int "regression below floor" 1
     (List.length (Coverage.gate ~blessed:60.0 stats))
 
+(* {2 R7: unbounded-spin} *)
+
+let test_unbounded_spin_bad () =
+  let src = {|let acquire t =
+  while Atomic.exchange t true do
+    P.cpu_relax ()
+  done
+
+let rec wait_ready q =
+  if not (Atomic.get q.ready) then begin
+    Domain.cpu_relax ();
+    wait_ready q
+  end
+
+let poll q =
+  let misses = ref 0 in
+  let rec go () =
+    if Atomic.get q.n = 0 then begin
+      incr misses;
+      misses := !misses + 1;
+      P.cpu_relax ();
+      go ()
+    end
+  in
+  go ()
+|} in
+  check Alcotest.(list string) "R7 flags while, rec and uncompared-counter spins"
+    [ "unbounded-spin"; "unbounded-spin"; "unbounded-spin" ]
+    (rules (findings_of src))
+
+let test_unbounded_spin_good () =
+  let src = {|let cpu_relax () =
+  tick ();
+  P.cpu_relax ()
+
+let spin_then_sleep t =
+  let spun = ref 0 in
+  while (not (ready t)) && !spun < t.spin do
+    P.cpu_relax ();
+    incr spun
+  done;
+  sleep_until_ready t
+
+let stall n =
+  for _ = 1 to n do
+    P.cpu_relax ()
+  done
+
+let rec retry n =
+  if n > 0 && not (Atomic.get flag) then begin
+    P.cpu_relax ();
+    retry (n - 1)
+  end
+
+let acquire_backoff t b =
+  while Atomic.exchange t true do
+    P.cpu_relax ();
+    Backoff.once b
+  done
+
+let wait_sleeping t =
+  while not (Atomic.get t) do
+    Domain.cpu_relax ();
+    Unix.sleepf 1e-4
+  done
+
+let deliberate t =
+  while not (Atomic.get t) do
+    Domain.cpu_relax () (* lint: allow unbounded-spin one waiter per core *)
+  done
+|} in
+  check Alcotest.(list string) "R7 accepts counted, escalating and annotated spins" []
+    (rules (findings_of src))
+
+let test_unbounded_spin_needs_reason () =
+  let src = {|let deliberate t =
+  while not (Atomic.get t) do
+    Domain.cpu_relax () (* lint: allow unbounded-spin *)
+  done
+|} in
+  check Alcotest.(list string) "R7 suppression needs a reason" [ "unbounded-spin" ]
+    (rules (findings_of src))
+
 let suite =
   [
     ("lint raise-under-lock bad", `Quick, test_raise_under_lock_bad);
@@ -277,6 +360,9 @@ let suite =
     ("lint blocking in protect body", `Quick, test_blocking_protect_body);
     ("lint blocking sibling scope", `Quick, test_blocking_sibling_scope);
     ("lint blocking suppression", `Quick, test_blocking_suppression);
+    ("lint unbounded-spin bad", `Quick, test_unbounded_spin_bad);
+    ("lint unbounded-spin good", `Quick, test_unbounded_spin_good);
+    ("lint unbounded-spin needs a reason", `Quick, test_unbounded_spin_needs_reason);
     ("audit unannotated atomic", `Quick, test_audit_unannotated);
     ("audit annotated atomic", `Quick, test_audit_annotated);
     ("audit inline record", `Quick, test_audit_inline_record);

@@ -211,26 +211,8 @@ let test_shard_stale_max_mini_bug () =
 
 let test_zmsq_shard_conserve () = random_pass ~executions:60 ~seed:0x54A2 "zmsq-shard-conserve"
 
-(* {2 Ingress-ring scenarios (PR 9)}
-
-   Each ring protocol decision has a buggy twin that reverts it and must
-   be detected with a replayable schedule; the real queue with the ring
-   enabled must conserve elements, drain exactly on close, surface
-   orphaned in-ring elements, and survive injected trylock losses. *)
-
-let test_ring_ready_mini_ok () = expect_pass ~want_complete:true "ring-ready-mini"
-let test_ring_ready_mini_bug () = expect_detect_and_replay "ring-ready-mini-skip-wait"
-let test_ring_recycle_mini_ok () = expect_pass ~want_complete:true "ring-recycle-mini"
-let test_ring_recycle_mini_bug () = expect_detect_and_replay "ring-recycle-mini-stale-node"
 let test_shard_wait_mini_ok () = expect_pass ~want_complete:true "shard-wait-mini"
 let test_shard_wait_mini_bug () = expect_detect_and_replay "shard-wait-mini-rotating-park"
-let test_zmsq_ring_conserve () = random_pass ~executions:60 ~seed:0x9106 "zmsq-ring-conserve"
-let test_zmsq_ring_drain_exact () = random_pass ~executions:40 ~seed:0x9107 "zmsq-ring-drain-exact"
-
-let test_zmsq_ring_orphan_reclaim () =
-  random_pass ~executions:60 ~seed:0x9108 "zmsq-ring-orphan-reclaim"
-
-let test_zmsq_ring_chaos () = random_pass ~executions:40 ~seed:0x9109 "zmsq-ring-chaos"
 
 (* {2 Race-detector scenarios: seeded positive + fence negatives} *)
 
@@ -278,16 +260,8 @@ let suite =
     ("shard stale-max mini", `Quick, test_shard_stale_max_mini_ok);
     ("shard stale-max mini bug detected", `Quick, test_shard_stale_max_mini_bug);
     ("zmsq shard conservation under model", `Slow, test_zmsq_shard_conserve);
-    ("ring ready-wait mini", `Quick, test_ring_ready_mini_ok);
-    ("ring ready-wait mini bug detected", `Quick, test_ring_ready_mini_bug);
-    ("ring recycle mini", `Quick, test_ring_recycle_mini_ok);
-    ("ring recycle mini bug detected", `Quick, test_ring_recycle_mini_bug);
     ("shard combined-wait mini", `Quick, test_shard_wait_mini_ok);
     ("shard combined-wait mini bug detected", `Quick, test_shard_wait_mini_bug);
-    ("zmsq ring conservation under model", `Slow, test_zmsq_ring_conserve);
-    ("zmsq ring drain exactness under model", `Slow, test_zmsq_ring_drain_exact);
-    ("zmsq ring orphan reclaim under model", `Slow, test_zmsq_ring_orphan_reclaim);
-    ("zmsq ring chaos under model", `Slow, test_zmsq_ring_chaos);
     ("race vc algebra", `Quick, test_race_vc_algebra);
     ("race acquire release", `Quick, test_race_acquire_release);
     ("race cell detects", `Quick, test_race_cell_detects);

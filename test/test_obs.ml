@@ -157,6 +157,28 @@ let test_trace_span_balance () =
   check Alcotest.bool "bounded" true (Trace.recorded tr <= 16);
   check Alcotest.bool "dropped counted" true (Trace.dropped tr > 0)
 
+(* Every kind survives [kind_code]/[kind_of_code], and the decoder refuses
+   the codes that name no kind — the retired 15 included — instead of
+   reading them as some other kind. *)
+let test_trace_kind_codes () =
+  let decoded =
+    List.filter_map
+      (fun c ->
+        match Trace.kind_of_code c with
+        | k -> Some (c, k)
+        | exception Invalid_argument _ -> None)
+      (List.init 64 (fun c -> c - 1))
+  in
+  check Alcotest.(list int) "decodable codes"
+    (List.init 15 Fun.id @ [ 16; 17 ])
+    (List.map fst decoded);
+  List.iter
+    (fun (c, k) ->
+      check Alcotest.int (Trace.kind_name k ^ " round-trips") c (Trace.kind_code k))
+    decoded;
+  let names = List.sort_uniq compare (List.map (fun (_, k) -> Trace.kind_name k) decoded) in
+  check Alcotest.int "distinct names" (List.length decoded) (List.length names)
+
 (* {2 Export formats} *)
 
 let demo_snapshot () =
@@ -467,6 +489,7 @@ let suite =
     ("obs off is inert", `Quick, test_obs_off_is_inert);
     ("trace at Full level", `Quick, test_trace_full_level);
     ("trace span balance + ring bound", `Quick, test_trace_span_balance);
+    ("trace kind codes round-trip", `Quick, test_trace_kind_codes);
     ("prometheus exposition", `Quick, test_prometheus_format);
     ("jsonl line", `Quick, test_jsonl_line);
     ("json escaping", `Quick, test_json_escaping);

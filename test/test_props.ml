@@ -342,7 +342,7 @@ let relaxation_sharded ~shards ~batch ~buffer_len =
   drain ();
   SQ.unregister consumer;
   let gap = Accuracy.max_zero_gap (List.rev !ranks) in
-  let bound = Accuracy.sharded_bound ~shards ~batch ~ndomains:nhandles ~buffer_len () in
+  let bound = Accuracy.sharded_bound ~shards ~batch ~ndomains:nhandles ~buffer_len in
   if gap <= bound then Ok gap
   else
     Error
@@ -355,103 +355,6 @@ let sharded_relaxation_cases =
     (fun shards ->
       List.map (fun (batch, buffer_len) -> (shards, batch, buffer_len))
         [ (0, 0); (4, 4); (16, 8); (48, 8) ])
-    [ 1; 2; 4 ]
-
-(* {2 Part 4: the FAA ingress ring}
-
-   With [ring_len > 0] every insert first claims a slot in the lock-free
-   ingress ring; a bulk drain publishes staged elements into the tree
-   later. The ring is therefore a {e relaxation} widener, not
-   order-preserving staging — an extraction can miss up to a full ring of
-   not-yet-drained elements — so the differential here is the relaxed
-   one, checked on random operation sequences over the whole
-   batch × buffer_len × ring_len grid:
-
-   - {b conservation / no-strand}: every returned element was inserted
-     exactly once (the rank oracle rejects duplicates and phantoms), a
-     [flush] leaves zero ring residents, and after the final drain the
-     oracle's live set is empty — nothing stranded in a sealed-but-undrained
-     node — with the tree invariant intact;
-
-   - {b relaxation bound}: the zero-rank gap obeys
-     [batch + buffer_len + Params.ring_capacity] — the single-handle
-     window of Part 2 widened by exactly the ring's sealed-resident
-     capacity (the {!Accuracy.sharded_bound} extension, at shards = 1). *)
-
-let ring_params ~batch ~buffer_len ~ring_len =
-  P.validate
-    { P.default with P.batch; target_len = 4; buffer_len; ring_len }
-
-let ring_differential_ok params ops =
-  let module Q = Zmsq.Default in
-  let q = Q.create ~params () in
-  let h = Q.register q in
-  let oracle = Oracle.create () in
-  let ranks = ref [] in
-  let failure = ref None in
-  let fail fmt = Printf.ksprintf (fun s -> if !failure = None then failure := Some s) fmt in
-  let observe e =
-    match Oracle.observe oracle e with
-    | r -> ranks := r :: !ranks
-    | exception Invalid_argument _ ->
-        fail "returned %s which is not live (duplicate or phantom)" (pp_elt e)
-  in
-  List.iter
-    (fun op ->
-      if !failure = None then
-        match op with
-        | Some k ->
-            let e = Elt.of_priority k in
-            Q.insert h e;
-            Oracle.add oracle e
-        | None ->
-            let e = Q.extract h in
-            if not (Elt.is_none e) then observe e)
-    ops;
-  Q.flush h;
-  if !failure = None && Q.Debug.ring_resident q <> 0 then
-    fail "flush left %d elements resident in the ring" (Q.Debug.ring_resident q);
-  let rec drain () =
-    if !failure = None then begin
-      let e = Q.extract h in
-      if not (Elt.is_none e) then begin
-        observe e;
-        drain ()
-      end
-    end
-  in
-  drain ();
-  if !failure = None && Oracle.live oracle <> 0 then
-    fail "%d inserted elements stranded after full drain" (Oracle.live oracle);
-  let inv = Q.Debug.check_invariant q in
-  Q.unregister h;
-  let bound = params.P.batch + params.P.buffer_len + P.ring_capacity params in
-  let gap = Accuracy.max_zero_gap (List.rev !ranks) in
-  if !failure = None && gap > bound then
-    fail "zero-rank gap %d exceeds batch + buf + ring_capacity = %d" gap bound;
-  match !failure with
-  | Some msg ->
-      QCheck.Test.fail_reportf "%s [%s]" msg (Format.asprintf "%a" P.pp params)
-  | None ->
-      inv
-      || QCheck.Test.fail_reportf "invariant broken after drain [%s]"
-           (Format.asprintf "%a" P.pp params)
-
-let ring_differential_tests =
-  List.concat_map
-    (fun ring_len ->
-      List.concat_map
-        (fun batch ->
-          List.map
-            (fun buffer_len ->
-              let params = ring_params ~batch ~buffer_len ~ring_len in
-              let name =
-                Printf.sprintf "ring differential batch=%d buf=%d ring=%d" batch
-                  buffer_len ring_len
-              in
-              QCheck.Test.make ~name ~count:iters ops_arb (ring_differential_ok params))
-            [ 0; 3 ])
-        [ 0; 4 ])
     [ 1; 2; 4 ]
 
 (* {2 Runner} *)
@@ -505,16 +408,6 @@ let () =
           incr failures;
           Printf.printf "  FAIL relaxation: %s\n%!" msg)
     sharded_relaxation_cases;
-  List.iter
-    (fun t ->
-      let name = match t with QCheck2.Test.Test cell -> QCheck2.Test.get_name cell in
-      try
-        QCheck.Test.check_exn ~rand t;
-        Printf.printf "  ok   %s\n%!" name
-      with e ->
-        incr failures;
-        Printf.printf "  FAIL %s\n%s\n%!" name (Printexc.to_string e))
-    ring_differential_tests;
   if !failures > 0 then begin
     Printf.eprintf
       "%d property failure(s); replay with ZMSQ_PROP_SEED=%d ZMSQ_PROP_ITERS=%d\n%!"

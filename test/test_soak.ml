@@ -1,9 +1,10 @@
-(* Smoke-scale soak: a fixed-seed ~2.4 s run of every phase with every
-   fault knob enabled (injected trylock failures, delayed-then-reposted
-   wakes, spurious timeouts, FAA/exchange stalls, a frozen producer, a
-   producer crash without unregister, handle churn to slot exhaustion,
-   and ring ingress under FAA-window stalls) against the buffered +
-   blocking queue. The watchdogs —
+(* Smoke-scale soak: a fixed-seed ~2.1 s run of every phase (0.3 s each
+   across the seven phases) with every fault knob enabled (injected
+   trylock failures, delayed-then-reposted wakes, spurious timeouts,
+   FAA/exchange stalls, a frozen producer, a producer crash without
+   unregister, handle churn to slot exhaustion, shard churn and server
+   overload under wire faults) against the buffered + blocking queue.
+   The watchdogs —
    conservation, staleness, the zero-budget final-poll probe, the
    one-shot starvation contract and the handle-registry leak check —
    must stay silent; the fault counters prove the faults actually
@@ -19,7 +20,7 @@ let test_soak_smoke () =
     {
       Soak.default_config with
       Soak.seed = 0x50AC;
-      secs = 2.4;
+      secs = 2.1;
       producers = 2;
       consumers = 2;
       buffer_len = 8;

@@ -1143,217 +1143,6 @@ let test_shard_lifecycle_randomized () =
     check Alcotest.int "no live handles" 0 (SQ.Debug.live_handles q)
   done
 
-(* {2 The FAA ingress ring (PR 9)} *)
-
-module Ring = Zmsq.Ring.Make (Zmsq_prim.Native)
-
-let ring_drain_prios ?demand p =
-  let acc = ref [] in
-  let n =
-    Ring.drain p ?demand (fun scratch n ->
-        for i = 0 to n - 1 do
-          acc := Elt.priority scratch.(i) :: !acc
-        done)
-  in
-  (n, List.rev !acc)
-
-(* Fill the ring to capacity one claim at a time: each generation's last
-   slot reports [Pushed_sealed], the claim past the last undrained
-   generation reports [Rejected], and a full demand drain hands every
-   element back in claim order and re-opens the ring. *)
-let test_ring_push_seal_reject () =
-  let r = Ring.create ~leaky:true ~slots:2 () in
-  let p = Ring.producer r in
-  let cap = Ring.capacity r in
-  check Alcotest.int "capacity = generations * slots" (Zmsq.Ring.generations * 2) cap;
-  let seals = ref 0 in
-  let k = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    match Ring.push p (Elt.of_priority !k) with
-    | Zmsq.Ring.Pushed -> incr k
-    | Zmsq.Ring.Pushed_sealed ->
-        incr seals;
-        incr k
-    | Zmsq.Ring.Rejected -> continue_ := false
-  done;
-  check Alcotest.int "fills exactly to capacity" cap !k;
-  check Alcotest.int "resident at capacity" cap (Ring.resident r);
-  check Alcotest.bool "every node's last claim sealed" true (!seals >= cap / 2);
-  let n, prios = ring_drain_prios ~demand:true p in
-  check Alcotest.int "drained everything" cap n;
-  check Alcotest.int "resident zero after drain" 0 (Ring.resident r);
-  check (Alcotest.list Alcotest.int) "claim order preserved" (List.init cap Fun.id) prios;
-  check Alcotest.bool "leaky drain refills the freelist" true
-    (Ring.Debug.freelist_len r >= 1);
-  (match Ring.push p (Elt.of_priority 99) with
-  | Zmsq.Ring.Rejected -> Alcotest.fail "push still rejected after a full drain"
-  | Zmsq.Ring.Pushed | Zmsq.Ring.Pushed_sealed -> ());
-  check Alcotest.int "reopened ring holds the new element" 1 (Ring.resident r);
-  Ring.release_producer p
-
-(* A live partial node is invisible to courtesy drains and surfaced by
-   demand drains — the seam extract relies on when the tree runs dry. *)
-let test_ring_partial_demand () =
-  let r = Ring.create ~leaky:true ~slots:4 () in
-  let p = Ring.producer r in
-  (match Ring.push p (Elt.of_priority 7) with
-  | Zmsq.Ring.Pushed -> ()
-  | _ -> Alcotest.fail "single push into an empty ring must be Pushed");
-  let n, _ = ring_drain_prios p in
-  check Alcotest.int "courtesy drain skips the live partial node" 0 n;
-  check Alcotest.int "element still resident" 1 (Ring.resident r);
-  let n, prios = ring_drain_prios ~demand:true p in
-  check Alcotest.int "demand drain seals and takes it" 1 n;
-  check (Alcotest.list Alcotest.int) "the right element" [ 7 ] prios;
-  check Alcotest.int "empty after demand drain" 0 (Ring.resident r);
-  let n, _ = ring_drain_prios ~demand:true p in
-  check Alcotest.int "drain of an empty ring is a no-op" 0 n;
-  Ring.release_producer p
-
-(* Non-leaky mode retires nodes through hazard pointers instead of
-   resetting them inline; the stats pair must be present and consistent. *)
-let test_ring_hazard_retirement () =
-  let r = Ring.create ~slots:2 () in
-  let p = Ring.producer r in
-  for k = 0 to (2 * Ring.capacity r) - 1 do
-    (match Ring.push p (Elt.of_priority k) with
-    | Zmsq.Ring.Rejected -> Alcotest.fail "push rejected below capacity"
-    | _ -> ());
-    (* drain each sealed node promptly so the table never fills *)
-    if k mod 2 = 1 then ignore (ring_drain_prios p)
-  done;
-  ignore (ring_drain_prios ~demand:true p);
-  check Alcotest.int "all drained" 0 (Ring.resident r);
-  (match Ring.Debug.hazard_stats r with
-  | None -> Alcotest.fail "non-leaky ring must expose hazard stats"
-  | Some (retired, recycled) ->
-      check Alcotest.bool "nodes were retired" true (retired >= 1);
-      check Alcotest.bool "recycled <= retired" true (recycled <= retired));
-  Ring.release_producer p
-
-(* A producer that read the tail word and then stalled while the next
-   generation was installed, sealed and drained must not re-install that
-   drained generation: the stale node would hold its table slot for good,
-   no later generation could seal past it, and an extract would spin on
-   residents no drain can reach. *)
-let test_ring_stale_advance () =
-  let r = Ring.create ~leaky:true ~slots:1 () in
-  let p = Ring.producer r in
-  let stale_w = Ring.tail_word r in
-  for k = 0 to 2 do
-    ignore (Ring.push p (Elt.of_priority k))
-  done;
-  let n, _ = ring_drain_prios ~demand:true p in
-  check Alcotest.int "generations 0-2 drained" 3 n;
-  (match Ring.try_advance r ~expect_w:stale_w with
-  | Ring.Contended | Ring.Table_full -> ()
-  | Ring.Advanced -> Alcotest.fail "a stale tail word advanced the ring");
-  for k = 0 to 4 * Ring.capacity r do
-    (match Ring.push p (Elt.of_priority k) with
-    | Zmsq.Ring.Rejected -> Alcotest.failf "push %d rejected on a drained ring" k
-    | Zmsq.Ring.Pushed | Zmsq.Ring.Pushed_sealed -> ());
-    let n, _ = ring_drain_prios ~demand:true p in
-    if n <> 1 then Alcotest.failf "drain %d took %d elements, not 1" k n
-  done;
-  check Alcotest.int "nothing stranded" 0 (Ring.resident r);
-  Ring.release_producer p
-
-let test_ring_params_validate () =
-  Alcotest.check_raises "negative ring_len"
-    (Invalid_argument "Params: ring_len out of range [0, 4096]") (fun () ->
-      ignore (P.validate { P.default with P.ring_len = -1 }));
-  Alcotest.check_raises "ring_len beyond target_len"
-    (Invalid_argument "Params: ring_len must be <= target_len") (fun () ->
-      ignore (P.validate { (P.static 8) with P.ring_len = 9 }));
-  check Alcotest.int "ring off means zero capacity" 0 (P.ring_capacity P.default);
-  let p = P.with_ring_len 4 (P.static 8) in
-  check Alcotest.int "ring capacity" (Zmsq.Ring.generations * 4) (P.ring_capacity p)
-
-(* Queue-level routing: with [ring_len > 0] inserts claim ring slots, the
-   elements are invisible to the tree until a drain, and the demand path
-   (extract on an empty tree) surfaces them — conserving everything. *)
-let test_ring_queue_routing () =
-  let module Q = Zmsq.Default in
-  let params = P.with_ring_len 4 (P.static 8) in
-  let q = Q.create ~params () in
-  let h = Q.register q in
-  List.iter (fun k -> Q.insert h (Elt.of_priority k)) [ 5; 3; 9 ];
-  check Alcotest.int "all three ring-resident" 3 (Q.Debug.ring_resident q);
-  let c = Q.Debug.counters q in
-  check Alcotest.bool "inserts claimed ring slots" true (c.Zmsq.ring_pushes >= 3);
-  check Alcotest.int "no fallback below capacity" 0 c.Zmsq.ring_fallbacks;
-  let e = Q.extract h in
-  check Alcotest.int "extract drains the ring and returns the max" 9 (Elt.priority e);
-  check Alcotest.int "ring empty after demand drain" 0 (Q.Debug.ring_resident q);
-  let c = Q.Debug.counters q in
-  check Alcotest.bool "drain published the batch" true (c.Zmsq.ring_drained >= 3);
-  check Alcotest.int "then 5" 5 (Elt.priority (Q.extract h));
-  check Alcotest.int "then 3" 3 (Elt.priority (Q.extract h));
-  check Alcotest.bool "then empty" true (Elt.is_none (Q.extract h));
-  Q.unregister h
-
-(* Ring-full fallback: every staging node seals after one claim with
-   [ring_len = 1], and injected trylock failures veto the courtesy drain
-   that would otherwise empty the table between inserts — so the table
-   fills and pushes past capacity must take the locked tree path rather
-   than fail. A final (fault-free) drain accounts for every element. *)
-let test_ring_fallback_conserves () =
-  let module FP = Zmsq_prim.Faulty.Make (Zmsq_prim.Native) () in
-  let module FL = Zmsq_sync.Lock.Make (FP) in
-  let module Q = Zmsq.Make_prim (FP) (FL.Tatas) (Zmsq.List_set) in
-  FP.Ctl.install { Zmsq_prim.Faulty.off with seed = 7; trylock_fail_1in = 1 };
-  let params =
-    P.validate { (P.static 8) with P.ring_len = 1; lock_policy = P.Blocking }
-  in
-  let cap = P.ring_capacity params in
-  let q = Q.create ~params () in
-  let h = Q.register q in
-  let total = cap + 3 in
-  for k = 0 to total - 1 do
-    Q.insert h (Elt.of_priority k)
-  done;
-  let c = Q.Debug.counters q in
-  check Alcotest.bool "overflow fell back to the locked path" true
-    (c.Zmsq.ring_fallbacks >= 1);
-  check Alcotest.bool "ring was still used" true (c.Zmsq.ring_pushes >= cap);
-  check Alcotest.int "undrained table holds capacity" cap (Q.Debug.ring_resident q);
-  FP.Ctl.install Zmsq_prim.Faulty.off;
-  let rec drain acc =
-    let e = Q.extract h in
-    if Elt.is_none e then acc else drain (Elt.priority e :: acc)
-  in
-  let got = List.sort compare (drain []) in
-  check (Alcotest.list Alcotest.int) "conservation across ring + fallback"
-    (List.init total Fun.id) got;
-  check Alcotest.int "nothing ring-resident" 0 (Q.Debug.ring_resident q);
-  check Alcotest.bool "invariant" true (Q.Debug.check_invariant q);
-  Q.unregister h
-
-(* [flush] publishes ring residents without an extract, mirroring the
-   buffered-backlog contract; [ring_len = 0] keeps the whole layer inert. *)
-let test_ring_flush_and_inert () =
-  let module Q = Zmsq.Default in
-  let q = Q.create ~params:(P.with_ring_len 4 (P.static 8)) () in
-  let h = Q.register q in
-  Q.insert h (Elt.of_priority 2);
-  Q.insert h (Elt.of_priority 8);
-  check Alcotest.int "staged in the ring" 2 (Q.Debug.ring_resident q);
-  Q.flush h;
-  check Alcotest.int "flush drains the ring" 0 (Q.Debug.ring_resident q);
-  check Alcotest.int "flush published to the tree" 2
-    (List.length (Q.Debug.elements q));
-  check Alcotest.int "max first" 8 (Elt.priority (Q.extract h));
-  Q.unregister h;
-  let q0 = Q.create ~params:(P.static 8) () in
-  let h0 = Q.register q0 in
-  Q.insert h0 (Elt.of_priority 1);
-  check Alcotest.int "ring off: nothing resident" 0 (Q.Debug.ring_resident q0);
-  let c = Q.Debug.counters q0 in
-  check Alcotest.int "ring off: no pushes" 0 c.Zmsq.ring_pushes;
-  check Alcotest.int "ring off: still extracts" 1 (Elt.priority (Q.extract h0));
-  Q.unregister h0
-
 let mk name f = (name, `Quick, f)
 
 let suite =
@@ -1362,7 +1151,6 @@ let suite =
     mk "params dynamic" test_params_dynamic;
     mk "strict exact (list)" (strict_exact (module Zmsq.Default));
     mk "strict exact (array)" (strict_exact (module Zmsq.Array_q));
-    mk "strict exact (lazy)" (strict_exact (module Zmsq.Lazy_q));
     mk "strict exact (mutex lock)" (strict_exact (module Zmsq.Mutex_q));
     mk "strict exact (tas lock)" (strict_exact (module Zmsq.Tas_q));
     mk "exact emptiness (list)" (exact_emptiness (module Zmsq.Default));
@@ -1372,11 +1160,8 @@ let suite =
     mk "relaxation bound b=16 (array)" (relaxation_bound (module Zmsq.Array_q) ~batch:16 ~target_len:32);
     qtest (prop_random_ops (module Zmsq.Default) "zmsq-list");
     qtest (prop_random_ops (module Zmsq.Array_q) "zmsq-array");
-    qtest (prop_random_ops (module Zmsq.Lazy_q) "zmsq-lazy");
     ("concurrent multiset (array)", `Slow,
       concurrent_multiset (module Zmsq.Array_q) ~ops_per_thread:20_000 ~params:(P.static 16));
-    ("concurrent multiset (lazy)", `Slow,
-      concurrent_multiset (module Zmsq.Lazy_q) ~ops_per_thread:20_000 ~params:(P.static 16));
     ("concurrent multiset (mutex blocking)", `Slow,
       concurrent_multiset (module Zmsq.Mutex_q) ~ops_per_thread:20_000
         ~params:{ (P.static 16) with P.lock_policy = P.Blocking });
@@ -1426,13 +1211,5 @@ let suite =
     mk "shard orphan reclaim across shards" test_shard_orphan_reclaim;
     mk "shard orphan resurrection" test_shard_orphan_resurrection;
     ("shard lifecycle randomized", `Slow, test_shard_lifecycle_randomized);
-    mk "ring push/seal/reject" test_ring_push_seal_reject;
-    mk "ring partial node needs demand" test_ring_partial_demand;
-    mk "ring hazard retirement" test_ring_hazard_retirement;
-    mk "ring stale advancer cannot strand a generation" test_ring_stale_advance;
-    mk "ring params validate" test_ring_params_validate;
-    mk "ring queue routing" test_ring_queue_routing;
-    mk "ring fallback conserves" test_ring_fallback_conserves;
-    mk "ring flush and ring-off inert" test_ring_flush_and_inert;
   ]
   @ concurrent_matrix @ concurrent_buffered
