@@ -37,7 +37,7 @@ let latency_tests () =
   let queues =
     [
       ("zmsq", Zmsq_harness.Instances.zmsq ());
-      ("zmsq-array", Zmsq_harness.Instances.zmsq_array ());
+      ("zmsq-list", Zmsq_harness.Instances.zmsq_list ());
       ("zmsq-leak", Zmsq_harness.Instances.zmsq_leak ());
       ("zmsq-strict", Zmsq_harness.Instances.zmsq ~params:Zmsq.Params.strict ());
       ( "zmsq-buffered",

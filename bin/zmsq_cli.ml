@@ -43,7 +43,7 @@ let factory_of ~queue ~batch ~target_len ~buffer_len ~shards =
     match (queue, shards) with "zmsq", Some s when s > 1 -> "zmsq-shard" | _ -> queue
   in
   match queue with
-  | "zmsq" | "zmsq-array" | "zmsq-leak" | "zmsq-tas" | "zmsq-mutex" | "zmsq-shard" ->
+  | "zmsq" | "zmsq-list" | "zmsq-leak" | "zmsq-tas" | "zmsq-mutex" | "zmsq-shard" ->
       let params =
         Zmsq.Params.default
         |> (match batch with Some b -> Zmsq.Params.with_batch b | None -> Fun.id)
@@ -53,7 +53,7 @@ let factory_of ~queue ~batch ~target_len ~buffer_len ~shards =
       in
       (match queue with
       | "zmsq" -> Zmsq_harness.Instances.zmsq ~params ()
-      | "zmsq-array" -> Zmsq_harness.Instances.zmsq_array ~params ()
+      | "zmsq-list" -> Zmsq_harness.Instances.zmsq_list ~params ()
       | "zmsq-leak" -> Zmsq_harness.Instances.zmsq_leak ~params ()
       | "zmsq-tas" -> Zmsq_harness.Instances.zmsq_tas ~params ()
       | "zmsq-shard" -> Zmsq_harness.Instances.zmsq_shard ~params ()

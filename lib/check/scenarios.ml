@@ -212,7 +212,7 @@ let zmsq_lin ~name ~scripts =
     Explore.name;
     make =
       (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.Array_set) in
         let q = Q.create ~params:model_params () in
         let ops = ref [] in
         let record event start_ns =
@@ -257,7 +257,7 @@ let zmsq_mound =
     Explore.name = "zmsq-mound-invariant";
     make =
       (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.Array_set) in
         let q = Q.create ~params:model_params () in
         let extracted = ref [] in
         let inserted = [ [ 9; 4; 6 ]; [ 8; 2 ] ] in
@@ -300,7 +300,7 @@ let zmsq_buffer_conserve =
     Explore.name = "zmsq-buffer-conserve";
     make =
       (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.Array_set) in
         let q = Q.create ~params:buffer_params () in
         let extracted = ref [] in
         let inserted = [ [ 9; 4; 6 ]; [ 8; 2 ] ] in
@@ -337,7 +337,7 @@ let zmsq_buffer_no_strand =
     Explore.name = "zmsq-buffer-no-strand";
     make =
       (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.Array_set) in
         let q = Q.create ~params:buffer_params () in
         let ha = Q.register q in
         let hb = Q.register q in
@@ -384,7 +384,7 @@ let zmsq_buffer_wakeup =
     Explore.name = "zmsq-buffer-wakeup";
     make =
       (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.Array_set) in
         let q = Q.create ~params:{ buffer_params with Zmsq.Params.blocking = true } () in
         let ha = Q.register q in
         let hb = Q.register q in
@@ -576,7 +576,7 @@ let zmsq_timeout_poll =
     Explore.name = "zmsq-timeout-poll";
     make =
       (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.Array_set) in
         let q = Q.create ~params:{ model_params with Zmsq.Params.blocking = true } () in
         let hp = Q.register q in
         let hc = Q.register q in
@@ -613,7 +613,7 @@ let zmsq_buffer_wakeup_oneshot =
     Explore.name = "zmsq-buffer-wakeup-oneshot";
     make =
       (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.Array_set) in
         let q = Q.create ~params:{ buffer_params with Zmsq.Params.blocking = true } () in
         let h1 = Q.register q in
         let h2 = Q.register q in
@@ -674,7 +674,7 @@ let zmsq_flush_wakes_all =
     Explore.name = "zmsq-flush-wakes-all";
     make =
       (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.Array_set) in
         let q = Q.create ~params:{ buffer_params with Zmsq.Params.blocking = true } () in
         let hp = Q.register q in
         let h1 = Q.register q in
@@ -866,7 +866,7 @@ let zmsq_close_wakes_all =
     Explore.name = "zmsq-close-wakes-all";
     make =
       (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.Array_set) in
         let q = Q.create ~params:{ model_params with Zmsq.Params.blocking = true } () in
         let h1 = Q.register q in
         let h2 = Q.register q in
@@ -902,7 +902,7 @@ let zmsq_insert_close_conserve =
     Explore.name = "zmsq-insert-close-conserve";
     make =
       (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.Array_set) in
         let q = Q.create ~params:buffer_params () in
         let hp = Q.register q in
         let accepted = ref [] in
@@ -947,7 +947,7 @@ let zmsq_orphan_reclaim_race =
     Explore.name = "zmsq-orphan-reclaim-race";
     make =
       (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.Array_set) in
         let q = Q.create ~params:buffer_params () in
         let h = Q.register q in
         let second_admitted = ref false in
@@ -1002,7 +1002,7 @@ let zmsq_drain_exact =
     Explore.name = "zmsq-drain-exact";
     make =
       (fun () ->
-        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.Array_set) in
         let q = Q.create ~params:{ buffer_params with Zmsq.Params.blocking = true } () in
         let hp = Q.register q in
         let hc = Q.register q in
@@ -1161,7 +1161,7 @@ let zmsq_shard_conserve =
     Explore.name = "zmsq-shard-conserve";
     make =
       (fun () ->
-        let module Q = Zmsq.Shard.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.List_set) in
+        let module Q = Zmsq.Shard.Make_prim (Shim.Prim) (Shim.Lock) (Zmsq.Array_set) in
         let q =
           Q.create
             ~params:
@@ -1257,7 +1257,7 @@ let zmsq_chaos_trylock =
         in
         FP.Ctl.install
           { Zmsq_prim.Faulty.off with seed = chaos_seed; trylock_fail_1in = 3 };
-        let module Q = Zmsq.Make_prim (FP) (L) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (FP) (L) (Zmsq.Array_set) in
         let q =
           Q.create ~params:{ model_params with Zmsq.Params.lock_policy = Zmsq.Params.Trylock } ()
         in
@@ -1304,7 +1304,7 @@ let zmsq_chaos_buffered =
         in
         FP.Ctl.install
           { Zmsq_prim.Faulty.off with seed = chaos_seed; trylock_fail_1in = 4 };
-        let module Q = Zmsq.Make_prim (FP) (L) (Zmsq.List_set) in
+        let module Q = Zmsq.Make_prim (FP) (L) (Zmsq.Array_set) in
         let q =
           Q.create
             ~params:

@@ -1,7 +1,16 @@
-(** Unsorted array set — the paper's "(array)" TNode set variant. Constant
-    cache footprint and no per-element allocation; ordered operations pay a
-    scan (or a sort in [take_top]), which is cheap for the small sets ZMSQ
-    maintains (at most 2 * target_len elements). *)
+(** Unsorted array set — the paper's "(array)" TNode set variant and the
+    default set. No per-element allocation and a small cache footprint:
+    ordered operations pay a scan (or a sort in [take_top]), which is cheap
+    for the small sets ZMSQ maintains (about [target_len] elements, at
+    most [2 * target_len] before a split).
+
+    The backing array doubles when full and gives capacity back when a set
+    shrinks well below it, so a long run does not leave every node holding
+    the largest array it ever needed. [split_lower] trims a set that keeps
+    under 1/[split_trim] of its array; [take_top] only under
+    1/[take_trim]. The wider [take_top] margin is hysteresis: the root
+    refills to about [target_len] and gives up to [batch + 1] elements per
+    refill, and a tighter rule would reallocate on every cycle. *)
 
 module Elt = Zmsq_pq.Elt
 
@@ -9,18 +18,29 @@ type t = { mutable data : Elt.t array; mutable len : int }
 
 let name = "array"
 
-let create () = { data = Array.make 16 Elt.none; len = 0 }
+let min_capacity = 16
+let split_trim = 4
+let take_trim = 8
+
+let create () = { data = Array.make min_capacity Elt.none; len = 0 }
 
 let size t = t.len
 let is_empty t = t.len = 0
+let capacity t = Array.length t.data
 
-let grow t =
-  let bigger = Array.make (2 * Array.length t.data) Elt.none in
-  Array.blit t.data 0 bigger 0 t.len;
-  t.data <- bigger
+let resize t cap =
+  let fresh = Array.make cap Elt.none in
+  Array.blit t.data 0 fresh 0 t.len;
+  t.data <- fresh
+
+(* Give capacity back: when the set uses under [1/ratio] of its array,
+   reallocate at twice its length (never below [min_capacity]). *)
+let trim t ratio =
+  let cap = Array.length t.data in
+  if cap > min_capacity && t.len * ratio < cap then resize t (max min_capacity (2 * t.len))
 
 let insert t e =
-  if t.len = Array.length t.data then grow t;
+  if t.len = Array.length t.data then resize t (2 * t.len);
   t.data.(t.len) <- e;
   t.len <- t.len + 1
 
@@ -90,6 +110,7 @@ let take_top t n =
     Array.blit t.data n t.data 0 remaining;
     Array.fill t.data remaining n Elt.none;
     t.len <- remaining;
+    trim t take_trim;
     top
   end
 
@@ -102,6 +123,7 @@ let split_lower t =
     let lower = Array.sub t.data keep n in
     Array.fill t.data keep n Elt.none;
     t.len <- keep;
+    trim t split_trim;
     lower
   end
 
@@ -112,4 +134,9 @@ let swap_contents a b =
   b.data <- data;
   b.len <- len
 
-let to_list t = Array.to_list (Array.sub t.data 0 t.len)
+let fold f acc t =
+  let acc = ref acc in
+  for i = 0 to t.len - 1 do
+    acc := f !acc t.data.(i)
+  done;
+  !acc

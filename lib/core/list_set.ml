@@ -1,5 +1,7 @@
 (** Sorted singly-linked list set — the paper's default TNode set, kept in
-    descending order so the maximum is the head and [take_top] is O(n). *)
+    descending order so the maximum is the head and [take_top] is O(n).
+    Here it is the differential reference for {!Array_set} (the library
+    default) and the set behind the figures' "zmsq" columns. *)
 
 module Elt = Zmsq_pq.Elt
 
@@ -115,4 +117,4 @@ let swap_contents a b =
   b.items <- items;
   b.len <- len
 
-let to_list t = t.items
+let fold f acc t = List.fold_left f acc t.items

@@ -2,9 +2,10 @@
 
     A TNode's set is only touched while the node's lock is held, so
     implementations are sequential. The paper evaluates two: a sorted
-    singly-linked list (the default, mirroring the mound) and an unsorted
-    fixed array (the "(array)" curves, trading ordered access for locality
-    and allocation-free operation). *)
+    singly-linked list (mirroring the mound) and an unsorted array (the
+    "(array)" curves, trading ordered access for locality and
+    allocation-free operation). The array set is the default; the list set
+    stays as the differential reference and the figures' "zmsq" column. *)
 
 module Elt = Zmsq_pq.Elt
 
@@ -46,8 +47,8 @@ module type SET = sig
   (** Exchange the entire contents of two sets in O(1) — the primitive
       behind the mound-style swap-down of extractMax. *)
 
-  val to_list : t -> Elt.t list
-  (** Any order. *)
+  val fold : ('a -> Elt.t -> 'a) -> 'a -> t -> 'a
+  (** Fold over the elements in any order, without copying the set. *)
 
   val name : string
 end

@@ -38,7 +38,6 @@ module type SHARDED = Zmsq_shard.SHARDED
 module Make_prim = Zmsq_core.Make_prim
 module Make = Zmsq_core.Make
 module Default = Zmsq_core.Default
-module Array_q = Zmsq_core.Array_q
 module Tas_q = Zmsq_core.Tas_q
 module Mutex_q = Zmsq_core.Mutex_q
 module Shard = Zmsq_shard

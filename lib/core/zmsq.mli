@@ -34,7 +34,9 @@
 
     The functor is parameterized by the per-node lock (Section 4.1 compares
     mutex/TAS/TATAS) and the per-node set representation (sorted list vs
-    unsorted array — the "(array)" curves). *)
+    unsorted array — the "(array)" curves). {!Default} uses the array
+    set; the list set is the differential reference and the figures'
+    "zmsq" column. *)
 
 (** Re-exports: the library's entry module is [Zmsq], so sibling modules
     are reached as [Zmsq.Params] etc. *)
@@ -223,6 +225,9 @@ module type S = sig
     val elements : t -> Zmsq_pq.Elt.t list
     (** Every element currently in the queue (tree + pool), unordered. *)
 
+    val fold_elements : t -> ('a -> Zmsq_pq.Elt.t -> 'a) -> 'a -> 'a
+    (** Fold over {!elements} without building the list. *)
+
     val pool_level : t -> int
     (** Elements currently claimable from the pool (0 if empty). *)
 
@@ -281,13 +286,14 @@ module Make (L : Zmsq_sync.Lock.S) (Set : Set_intf.SET) : S_FAMILY
 (** [Make_prim] applied to the native primitives ({!Zmsq_prim.Native}). *)
 
 module Default : S
-(** TATAS trylocks + sorted-list sets — the paper's default configuration. *)
-
-module Array_q : S
-(** TATAS trylocks + unsorted-array sets — the "(array)" curves. *)
+(** TATAS trylocks + unsorted-array sets — the paper's "(array)"
+    configuration, which leads its Figures 5 and 7. (The paper's own
+    default, TATAS + sorted lists, is [Make (Zmsq_sync.Lock.Tatas)
+    (List_set)].) *)
 
 module Tas_q : S
-(** TAS trylocks + list sets (Figure 2). *)
+(** TAS trylocks + list sets (Figure 2, which compares locks on the list
+    set). *)
 
 module Mutex_q : S
 (** OS mutex + list sets (Figure 2's std::mutex baseline). *)
@@ -350,5 +356,5 @@ module Shard : sig
   module Make (L : Zmsq_sync.Lock.S) (Set : Set_intf.SET) : SHARDED
 
   module Default : SHARDED
-  (** TATAS trylocks + sorted-list sets. *)
+  (** TATAS trylocks + unsorted-array sets, like the plain {!Default}. *)
 end

@@ -69,6 +69,7 @@ module type S = sig
     val leaf_level : t -> int
     val node_counts : t -> int array
     val elements : t -> Zmsq_pq.Elt.t list
+    val fold_elements : t -> ('a -> Zmsq_pq.Elt.t -> 'a) -> 'a -> 'a
     val pool_level : t -> int
     val buffered : t -> int
     val live_handles : t -> int
@@ -624,7 +625,7 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     done;
     (!hi, anc !hi)
 
-  let forced_insert_at q node e =
+  let forced_insert_at ~traced q node e =
     if not (acquire_policy q node.lock) then false
     else begin
       let ok = e <= Atomic.get node.max && Atomic.get node.count < q.params.target_len in
@@ -633,7 +634,7 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
         if e < Atomic.get node.min then Atomic.set node.min e;
         Atomic.incr node.count;
         tick q q.mc.c_forced;
-        note q Trace.Forced_insert
+        if traced then note q Trace.Forced_insert
       end;
       L.release node.lock;
       ok
@@ -690,7 +691,7 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     end
     else false (* caller must release the node lock *)
 
-  let regular_insert h level slot e =
+  let regular_insert ~traced h level slot e =
     let q = h.q in
     if level = 0 then begin
       let root = protect_node h ~hpslot:0 0 0 in
@@ -736,7 +737,7 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
           if Elt.is_none nmin || moved < nmin then Atomic.set node.min moved;
           Atomic.incr node.count;
           tick q q.mc.c_min_swaps;
-          note q Trace.Min_swap;
+          if traced then note q Trace.Min_swap;
           L.release parent.lock;
           (* The dropped minimum can also overflow [node]: split exactly as
              an insert-as-max would (split_node releases the node lock). *)
@@ -775,7 +776,11 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
       else Elt.none
     end
 
-  let insert_aux h e =
+  (* [traced]: the caller's sampling draw chose this insert for per-op
+     telemetry, so its [forced_insert]/[min_swap] instants are recorded.
+     They fire on almost every insert, and an exhaustive instant would
+     read the clock inside the critical section each time. *)
+  let insert_aux ~traced h e =
     let q = h.q in
     (* Count the element before it lands: extraction spins rather than
        reporting a false empty while an insert is in flight. *)
@@ -786,7 +791,7 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
       let leaf, slot, force = select_position ~room:1 h e in
       if force then begin
         let node = protect_node h ~hpslot:0 leaf slot in
-        if not (forced_insert_at q node e) then begin
+        if not (forced_insert_at ~traced q node e) then begin
           retried := true;
           tick q q.mc.c_retries;
           attempt ()
@@ -794,7 +799,7 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
       end
       else begin
         let ilevel, islot = search_position h leaf slot e in
-        if not (regular_insert h ilevel islot e) then begin
+        if not (regular_insert ~traced h ilevel islot e) then begin
           retried := true;
           tick q q.mc.c_retries;
           attempt ()
@@ -1148,17 +1153,18 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     let q = h.q in
     if Atomic.get q.state <> st_open then raise Queue_closed;
     (* One sampling draw decides all per-op telemetry — the sojourn probe,
-       the latency histogram and the trace span — so the unsampled Full
+       the latency histogram, the trace span and the insert's
+       [forced_insert]/[min_swap] instants — so the unsampled Full
        path costs a single rng advance over Counters (the batch-level
        spans: refill/flush/drain/reclaim stay exhaustive). Set
        obs_sample_shift to 0 for per-op-complete histograms and traces. *)
     let sampled = qos_sampled q h in
     if sampled then arm_probe q e;
     if q.buffer_on then buf_insert h e
-    else if not sampled then insert_aux h e
+    else if not sampled then insert_aux ~traced:false h e
     else begin
       let t0 = Zmsq_util.Timing.now_ns () in
-      insert_aux h e;
+      insert_aux ~traced:true h e;
       let dur = Zmsq_util.Timing.now_ns () - t0 in
       Metrics.observe q.mh.h_insert (float_of_int dur);
       match q.tr with Some tr -> Trace.complete tr ~dur ~t0 Trace.Insert | None -> ()
@@ -1553,17 +1559,20 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     let buffered q = Atomic.get q.buffered
     let live_handles q = with_handles_mu q (fun () -> List.length (Plain.get q.handles))
 
-    let pool_elements q =
-      let acc = ref [] in
+    let fold_pool q f init =
+      let acc = ref init in
       for i = 0 to Plain.get q.pool_fill - 1 do
         let v = Atomic.get q.pool.(i) in
-        if not (Elt.is_none v) then acc := v :: !acc
+        if not (Elt.is_none v) then acc := f !acc v
       done;
       !acc
 
     (* lint: quiescent *)
-    let elements q =
-      fold_nodes q (fun acc _ _ n -> List.rev_append (Set.to_list n.set) acc) (pool_elements q)
+    let fold_elements q f init =
+      fold_nodes q (fun acc _ _ n -> Set.fold f acc n.set) (fold_pool q f init)
+
+    (* lint: quiescent *)
+    let elements q = fold_elements q (fun acc e -> e :: acc) []
 
     (* lint: quiescent *)
     let node_counts q =
@@ -1607,7 +1616,10 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
           !ok
         end
       in
-      let size_ok = List.length (elements q) = Atomic.get q.size in
+      let size_ok =
+        fold_nodes q (fun acc _ _ n -> acc + Set.size n.set) (fold_pool q (fun acc _ -> acc + 1) 0)
+        = Atomic.get q.size
+      in
       caches_ok && heap_ok && pool_ok && size_ok
 
     (* Merged view of the sharded counters; identical to the per-name
@@ -1647,7 +1659,6 @@ end
 module Make (L : Zmsq_sync.Lock.S) (Set : Set_intf.SET) : S_FAMILY =
   Make_prim (Zmsq_prim.Native) (L) (Set)
 
-module Default = Make (Zmsq_sync.Lock.Tatas) (List_set)
-module Array_q = Make (Zmsq_sync.Lock.Tatas) (Array_set)
+module Default = Make (Zmsq_sync.Lock.Tatas) (Array_set)
 module Tas_q = Make (Zmsq_sync.Lock.Tas) (List_set)
 module Mutex_q = Make (Zmsq_sync.Lock.Mutex_lock) (List_set)

@@ -531,8 +531,10 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
             (fun acc a -> if i < Array.length a then acc + a.(i) else acc)
             0 per)
 
-    let elements t =
-      Array.fold_left (fun acc q -> List.rev_append (Q.Debug.elements q) acc) [] t.shards
+    let fold_elements t f init =
+      Array.fold_left (fun acc q -> Q.Debug.fold_elements q f acc) init t.shards
+
+    let elements t = fold_elements t (fun acc e -> e :: acc) []
 
     let pool_level t = Array.fold_left (fun acc q -> acc + Q.Debug.pool_level q) 0 t.shards
     let buffered t = Array.fold_left (fun acc q -> acc + Q.Debug.buffered q) 0 t.shards
@@ -603,4 +605,4 @@ end
 module Make (L : Zmsq_sync.Lock.S) (Set : Set_intf.SET) : SHARDED =
   Make_prim (Zmsq_prim.Native) (L) (Set)
 
-module Default = Make (Zmsq_sync.Lock.Tatas) (List_set)
+module Default = Make (Zmsq_sync.Lock.Tatas) (Array_set)

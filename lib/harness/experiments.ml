@@ -24,7 +24,7 @@ let lock_factories params =
   [
     ("mutex", Instances.zmsq_mutex ~params ());
     ("tas", Instances.zmsq_tas ~params ());
-    ("tatas", Instances.zmsq ~params ());
+    ("tatas", Instances.zmsq_list ~params ());
   ]
 
 let fig2 ~insert_permil ~preload ~id ~title () =
@@ -228,8 +228,8 @@ let fig5_queues () =
   [
     ("spraylist", Instances.spraylist);
     ("mound", Instances.mound);
-    ("zmsq", Instances.zmsq ~params ());
-    ("zmsq(array)", Instances.zmsq_array ~params ());
+    ("zmsq", Instances.zmsq_list ~params ());
+    ("zmsq(array)", Instances.zmsq ~params ());
     ("zmsq(leak)", Instances.zmsq_leak ~params ());
   ]
 
@@ -304,8 +304,8 @@ let fig6 () =
 let sssp_queues () =
   let params = P.(default |> with_batch 42 |> with_target_len 64) in
   [
-    ("zmsq", Instances.zmsq ~params ());
-    ("zmsq(array)", Instances.zmsq_array ~params ());
+    ("zmsq", Instances.zmsq_list ~params ());
+    ("zmsq(array)", Instances.zmsq ~params ());
     ("zmsq(leak)", Instances.zmsq_leak ~params ());
     ("spraylist", Instances.spraylist);
     ("mound", Instances.mound);
@@ -360,11 +360,11 @@ let fig8 () =
   let configs =
     List.map
       (fun (b, tl) ->
-        (Printf.sprintf "zmsq(%d,%d)" b tl, Instances.zmsq ~params:P.(default |> with_batch b |> with_target_len tl) ()))
+        (Printf.sprintf "zmsq(%d,%d)" b tl, Instances.zmsq_list ~params:P.(default |> with_batch b |> with_target_len tl) ()))
       fig8_configs
     @ [
         ("zmsq-leak(42,64)", Instances.zmsq_leak ~params:P.(default |> with_batch 42 |> with_target_len 64) ());
-        ("zmsq-array(42,64)", Instances.zmsq_array ~params:P.(default |> with_batch 42 |> with_target_len 64) ());
+        ("zmsq-array(42,64)", Instances.zmsq ~params:P.(default |> with_batch 42 |> with_target_len 64) ());
         ("spraylist", Instances.spraylist);
         ("mound", Instances.mound);
       ]
@@ -499,8 +499,8 @@ let ablation_variants =
 (* Set-representation ablation rows run against the same spec. *)
 let set_variants =
   [
-    ("set=list", fun params -> Instances.zmsq ~params ());
-    ("set=array", fun params -> Instances.zmsq_array ~params ());
+    ("set=list", fun params -> Instances.zmsq_list ~params ());
+    ("set=array", fun params -> Instances.zmsq ~params ());
   ]
 
 (* Section 5 extension study: the same mixed workload with and without a

@@ -5,12 +5,14 @@ type factory = unit -> Intf.instance
 let zmsq ?(params = Zmsq.Params.default) () () =
   Intf.pack (module Zmsq.Default) (Zmsq.Default.create ~params ())
 
-let zmsq_array ?(params = Zmsq.Params.default) () () =
-  Intf.pack (module Zmsq.Array_q) (Zmsq.Array_q.create ~params ())
+module List_q = Zmsq.Make (Zmsq_sync.Lock.Tatas) (Zmsq.List_set)
+
+let zmsq_list ?(params = Zmsq.Params.default) () () =
+  Intf.pack (module List_q) (List_q.create ~params ())
 
 let zmsq_leak ?(params = Zmsq.Params.default) () () =
   let params = { params with Zmsq.Params.leaky = true } in
-  Intf.pack (module Zmsq.Default) (Zmsq.Default.create ~params ())
+  Intf.pack (module List_q) (List_q.create ~params ())
 
 let zmsq_tas ?(params = Zmsq.Params.default) () () =
   Intf.pack (module Zmsq.Tas_q) (Zmsq.Tas_q.create ~params ())
@@ -35,12 +37,12 @@ let klsm ?(k = 256) () () = Intf.pack (module Zmsq_klsm.Klsm) (Zmsq_klsm.Klsm.cr
 let locked_heap () = Intf.pack (module Zmsq_pq.Locked_heap) (Zmsq_pq.Locked_heap.create ())
 
 let names =
-  [ "zmsq"; "zmsq-array"; "zmsq-leak"; "zmsq-tas"; "zmsq-mutex"; "zmsq-shard";
+  [ "zmsq"; "zmsq-list"; "zmsq-leak"; "zmsq-tas"; "zmsq-mutex"; "zmsq-shard";
     "mound"; "spraylist"; "multiqueue"; "klsm"; "locked-heap" ]
 
 let by_name = function
   | "zmsq" -> zmsq ()
-  | "zmsq-array" -> zmsq_array ()
+  | "zmsq-list" -> zmsq_list ()
   | "zmsq-leak" -> zmsq_leak ()
   | "zmsq-tas" -> zmsq_tas ()
   | "zmsq-mutex" -> zmsq_mutex ()

@@ -6,16 +6,22 @@
 type factory = unit -> Zmsq_pq.Intf.instance
 
 val zmsq : ?params:Zmsq.Params.t -> unit -> factory
-(** Default ZMSQ (TATAS trylocks, list sets). *)
+(** Default ZMSQ ({!Zmsq.Default}: TATAS trylocks, array sets) — the
+    paper's "(array)" curves. *)
 
-val zmsq_array : ?params:Zmsq.Params.t -> unit -> factory
-(** The "(array)" variant. *)
+val zmsq_list : ?params:Zmsq.Params.t -> unit -> factory
+(** TATAS trylocks with sorted-list sets: the paper's "zmsq" curves and
+    the Figure 2 "tatas" row beside {!zmsq_tas} and {!zmsq_mutex}. *)
 
 val zmsq_leak : ?params:Zmsq.Params.t -> unit -> factory
-(** Hazard pointers disabled — the paper's "ZMSQ (leak)" curves. *)
+(** {!zmsq_list} with hazard pointers disabled: the paper's "zmsq(leak)"
+    curves. *)
 
 val zmsq_tas : ?params:Zmsq.Params.t -> unit -> factory
+(** TAS trylocks with list sets ({!Zmsq.Tas_q}). *)
+
 val zmsq_mutex : ?params:Zmsq.Params.t -> unit -> factory
+(** OS mutex with list sets ({!Zmsq.Mutex_q}). *)
 
 val zmsq_shard : ?params:Zmsq.Params.t -> unit -> factory
 (** Sharded ZMSQ-of-ZMSQs ({!Zmsq.Shard.Default}): [params.shards]
@@ -28,7 +34,7 @@ val klsm : ?k:int -> unit -> factory
 val locked_heap : factory
 
 val by_name : string -> factory
-(** Resolve "zmsq" | "zmsq-array" | "zmsq-leak" | "zmsq-shard" | "mound" |
+(** Resolve "zmsq" | "zmsq-list" | "zmsq-leak" | "zmsq-shard" | "mound" |
     "spraylist" | "multiqueue" | "klsm" | "locked-heap" (CLI use). Raises
     [Invalid_argument] on unknown names. *)
 

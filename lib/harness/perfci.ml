@@ -549,19 +549,42 @@ let report_json ?(id = "pr6") ~scale ~baseline_file ~results ~comparisons () =
               ] );
     ]
 
-let baseline_json results =
+(* Per experiment, the run holding the median value (the lower middle one
+   when the count is even), so its details stay consistent with it. *)
+let median_results runs =
+  match runs with
+  | [] -> []
+  | first :: _ ->
+      List.map
+        (fun r0 ->
+          let vals =
+            List.sort
+              (fun a b -> Float.compare a.value b.value)
+              (List.filter_map (List.find_opt (fun r -> r.id = r0.id)) runs)
+          in
+          List.nth vals ((List.length vals - 1) / 2))
+        first
+
+let baseline_json ?(keep = []) results =
+  let entry id value threshold_pct =
+    Json.Obj
+      [
+        ("id", Json.Str id); ("value", Json.Float value); ("threshold_pct", Json.Float threshold_pct);
+      ]
+  in
   Json.Obj
     [
       ("schema", Json.Str schema);
       ( "experiments",
         Json.Arr
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("id", Json.Str r.id);
-                   ("value", Json.Float r.value);
-                   ("threshold_pct", Json.Float r.threshold_pct);
-                 ])
-             results) );
+          (List.filter_map
+             (fun e ->
+               match List.find_opt (fun r -> r.id = e.e_id) results with
+               | Some r -> Some (entry r.id r.value r.threshold_pct)
+               | None -> (
+                   match List.find_opt (fun (id, _, _) -> id = e.e_id) keep with
+                   | Some (id, value, thr) ->
+                       Some (entry id value (Option.value thr ~default:e.e_threshold_pct))
+                   | None -> None))
+             experiments) );
     ]

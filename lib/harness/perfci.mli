@@ -64,5 +64,12 @@ val report_json :
     ["pr6"], the CI gate's identity) names trajectory snapshots like
     BENCH_pr9.json. *)
 
-val baseline_json : result list -> Zmsq_obs.Json.t
-(** A fresh baseline blessing the given results. *)
+val median_results : result list list -> result list
+(** Per experiment of the first run, the result whose value is the median
+    over all runs (the lower middle one for an even count). *)
+
+val baseline_json :
+  ?keep:(string * float * float option) list -> result list -> Zmsq_obs.Json.t
+(** A baseline blessing the given results, in suite order. An experiment
+    without a result keeps its entry from [keep] (a loaded baseline), so
+    blessing a subset leaves the other entries as they were. *)

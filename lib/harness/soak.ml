@@ -15,12 +15,12 @@ module FLock =
       let fail_try_acquire = FP.Ctl.inject_try_acquire_failure
     end)
 
-module Q = Zmsq.Make_prim (FP) (FLock) (Zmsq.List_set)
+module Q = Zmsq.Make_prim (FP) (FLock) (Zmsq.Array_set)
 
 (* The sharded build under the same fault adapter: shard-churn drives
    sticky insert routing and two-choice extraction through injected
    trylock losses. *)
-module SQ = Zmsq.Shard.Make_prim (FP) (FLock) (Zmsq.List_set)
+module SQ = Zmsq.Shard.Make_prim (FP) (FLock) (Zmsq.Array_set)
 
 type faults = {
   trylock_fail_1in : int;

@@ -1,6 +1,14 @@
 (* xoshiro256** 1.0 (Blackman & Vigna), seeded through splitmix64. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four state words live unboxed in a 32-byte buffer: mutable [int64]
+   record fields would box every updated word (21 minor words a draw),
+   while with the bytes primitives a draw allocates nothing once [next]
+   is inlined into its caller. Native endianness is fine: the buffer
+   never leaves this module. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let splitmix64 state =
   let z = Int64.add !state 0x9E3779B97F4A7C15L in
@@ -11,54 +19,52 @@ let splitmix64 state =
 
 let default_seed = 0x5DEECE66D
 
-let create ?(seed = default_seed) () =
-  let st = ref (Int64.of_int seed) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+let of_splitmix st =
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix64 st)
+  done;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let create ?(seed = default_seed) () = of_splitmix (ref (Int64.of_int seed))
 
-let int64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+let[@inline] next t =
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set64 t 8 (Int64.logxor s1 s2);
+  set64 t 0 (Int64.logxor s0 s3);
+  set64 t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set64 t 24 (rotl s3 45);
   result
 
-let split t =
-  let st = ref (int64 t) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+let int64 t = next t
+
+let split t = of_splitmix (ref (next t))
 
 let split_n t n = Array.init n (fun _ -> split t)
 
-let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
+let bits t = Int64.to_int (Int64.shift_right_logical (next t) 2)
+
+(* Rejection sampling to avoid modulo bias. Top-level rather than a local
+   closure, which would allocate on every call. *)
+let rec int_below t bound =
+  let r = bits t in
+  let v = r mod bound in
+  if r - v + (bound - 1) < 0 then int_below t bound else v
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let rec go () =
-    let r = bits t in
-    let v = r mod bound in
-    if r - v + (bound - 1) < 0 then go () else v
-  in
-  go ()
+  int_below t bound
 
 let float t bound =
-  let r = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
+  let r = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   r /. 9007199254740992.0 *. bound (* 2^53 *)
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let normal t ~mean ~stddev =
   (* Box–Muller; discards the second variate for simplicity. *)

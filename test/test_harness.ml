@@ -203,6 +203,48 @@ let test_perfci_compare () =
   Alcotest.(check (option (float 0.0))) "missing baseline delta" None
     (find "d").P.cmp_delta_pct
 
+let test_perfci_bless () =
+  let module P = Zmsq_harness.Perfci in
+  let mk id value =
+    {
+      P.id;
+      value;
+      unit_ = "x";
+      higher_better = true;
+      threshold_pct = 35.0;
+      limit = None;
+      wall_seconds = value;
+      details = [];
+    }
+  in
+  let runs =
+    [
+      [ mk "fig5a_mops" 3.0; mk "roofline_pair_ratio" 9.0 ];
+      [ mk "fig5a_mops" 1.0; mk "roofline_pair_ratio" 7.0 ];
+      [ mk "fig5a_mops" 2.0; mk "roofline_pair_ratio" 8.0 ];
+      [ mk "fig5a_mops" 4.0; mk "roofline_pair_ratio" 6.0 ];
+    ]
+  in
+  let med = P.median_results runs in
+  let value id = (List.find (fun r -> r.P.id = id) med).P.value in
+  Alcotest.(check (float 0.0)) "lower middle of an even count" 2.0 (value "fig5a_mops");
+  Alcotest.(check (float 0.0)) "each experiment on its own" 7.0 (value "roofline_pair_ratio");
+  Alcotest.(check (float 0.0)) "details from the median run" 2.0
+    (List.find (fun r -> r.P.id = "fig5a_mops") med).P.wall_seconds;
+  let path = Filename.temp_file "perfci" ".json" in
+  let keep = [ ("fig4_handoff_p99_ns", 8388608.0, Some 150.0); ("fig5a_mops", 0.5, None) ] in
+  ignore
+    (Zmsq_obs.Export.write_file ~path
+       (Zmsq_obs.Json.to_string (P.baseline_json ~keep [ mk "fig5a_mops" 2.0 ])));
+  (match P.load_baseline path with
+  | Error msg -> Alcotest.fail msg
+  | Ok base ->
+      Alcotest.(check (list (triple string (float 0.0) (option (float 0.0)))))
+        "subset bless keeps the other entries, in suite order"
+        [ ("fig5a_mops", 2.0, Some 35.0); ("fig4_handoff_p99_ns", 8388608.0, Some 150.0) ]
+        base);
+  Sys.remove path
+
 let suite =
   [
     ("table make + csv", `Quick, test_table_make_and_csv);
@@ -223,4 +265,5 @@ let suite =
     ("sssp checked wrapper", `Quick, test_sssp_checked);
     ("experiments registry", `Quick, test_registry_complete);
     ("perfci comparison gate", `Quick, test_perfci_compare);
+    ("perfci median bless", `Quick, test_perfci_bless);
   ]

@@ -170,6 +170,42 @@ let prop_replace_min_model (module S : SET) name =
       && new_min = List.hd expected_contents
       && drain [] = expected_contents)
 
+(* The array set gives capacity back. A set filled past a split's
+   threshold (2 * target_len + 1 = 145 by default) and then drained to a
+   few elements does not keep its 256-slot array. A root that refills to
+   a little under target_len and hands out batch + 1 = 49 elements per
+   refill settles on one array instead of shrinking and regrowing it on
+   every cycle (constant capacity means no reallocation: every resize
+   changes it). *)
+let array_capacity () =
+  let module A = Zmsq.Array_set in
+  let s = A.create () in
+  for k = 1 to 145 do
+    A.insert s k
+  done;
+  check Alcotest.int "grown to hold 145" 256 (A.capacity s);
+  ignore (A.take_top s 139);
+  check Alcotest.int "a few left" 6 (A.size s);
+  check Alcotest.bool "capacity under 4x length" true (A.capacity s < 4 * A.size s);
+  check Alcotest.int "max survives the trim" 6 (A.max_elt s);
+  let s = A.create () in
+  let next = ref 0 in
+  let fill () =
+    while A.size s < 64 do
+      incr next;
+      A.insert s (!next * 7919 mod 1000)
+    done
+  in
+  fill ();
+  ignore (A.take_top s 49);
+  let settled = A.capacity s in
+  for cycle = 1 to 20 do
+    fill ();
+    check Alcotest.int (Printf.sprintf "cycle %d: no regrow" cycle) settled (A.capacity s);
+    ignore (A.take_top s 49);
+    check Alcotest.int (Printf.sprintf "cycle %d: no trim" cycle) settled (A.capacity s)
+  done
+
 let per_impl =
   List.concat_map
     (fun (name, m) ->
@@ -183,4 +219,4 @@ let per_impl =
       ])
     impls
 
-let suite = per_impl @ [ qtest prop_impls_agree ]
+let suite = per_impl @ [ ("array capacity", `Quick, array_capacity); qtest prop_impls_agree ]

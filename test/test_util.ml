@@ -14,6 +14,18 @@ let test_rng_deterministic () =
     check Alcotest.int64 "same stream" (Rng.int64 a) (Rng.int64 b)
   done
 
+(* Seeded tests, benchmark inputs and checker replays depend on the exact
+   stream, so a change to how the state is stored must not move it. *)
+let test_rng_pinned_stream () =
+  let t = Rng.create ~seed:0x5EED () in
+  List.iter
+    (fun want -> check Alcotest.int64 "int64" want (Rng.int64 t))
+    [ -1210358410065458316L; -2164664542880791269L; -2834165613409827270L ];
+  check Alcotest.int "int 1000" 920 (Rng.int t 1000);
+  check Alcotest.int "int 7" 5 (Rng.int t 7);
+  check Alcotest.int64 "split child" (-1427846536778878775L) (Rng.int64 (Rng.split t));
+  check Alcotest.int64 "parent after split" 5628034012957674668L (Rng.int64 t)
+
 let test_rng_seeds_differ () =
   let a = Rng.create ~seed:1 () and b = Rng.create ~seed:2 () in
   let same = ref 0 in
@@ -199,6 +211,7 @@ let test_timing_monotonic () =
 let suite =
   [
     ("rng deterministic", `Quick, test_rng_deterministic);
+    ("rng pinned stream", `Quick, test_rng_pinned_stream);
     ("rng seeds differ", `Quick, test_rng_seeds_differ);
     ("rng split independent", `Quick, test_rng_split_independent);
     ("rng int bounds", `Quick, test_rng_int_bounds);

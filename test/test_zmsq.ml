@@ -33,6 +33,10 @@ let test_params_dynamic () =
 
 module type ZQ = Zmsq.S
 
+(* The list set, kept beside the array-set default as its reference: the
+   "(list)" cases run here and the "(array)" cases on [Zmsq.Default]. *)
+module List_q = Zmsq.Make (Zmsq_sync.Lock.Tatas) (Zmsq.List_set)
+
 let strict_exact (module Q : ZQ) () =
   let q = Q.create ~params:P.strict () in
   let h = Q.register q in
@@ -164,8 +168,8 @@ let concurrent_buffered =
         `Slow,
         concurrent_multiset (module Q) ~ops_per_thread:12_000 ~params ))
     [
-      ("list trylock", (module Zmsq.Default : ZQ), P.Trylock);
-      ("array trylock", (module Zmsq.Array_q : ZQ), P.Trylock);
+      ("list trylock", (module List_q : ZQ), P.Trylock);
+      ("array trylock", (module Zmsq.Default : ZQ), P.Trylock);
       ("mutex blocking", (module Zmsq.Mutex_q : ZQ), P.Blocking);
     ]
 
@@ -1143,25 +1147,62 @@ let test_shard_lifecycle_randomized () =
     check Alcotest.int "no live handles" 0 (SQ.Debug.live_handles q)
   done
 
+(* {2 Allocation ceiling}
+
+   Steady-state single-handle insert+extract pairs on [Zmsq.Default]
+   (seeded params, counters on, a 10k-element queue, keys drawn before
+   the measured loop) must not allocate more minor words per pair than
+   [alloc_words_per_pair]. OCaml 5's minor GC stops every domain, so
+   allocation on the hot path is a pause for all of them. The ceiling is
+   the value last measured (148 words once [Rng] stopped boxing its state;
+   173 before, and the list set reads 551) plus rounding; it only ever
+   moves down. *)
+let alloc_words_per_pair = 150.0
+
+let test_alloc_ceiling () =
+  let module Q = Zmsq.Default in
+  let params = { P.default with P.seed = Some 0xA11C; obs = Zmsq_obs.Level.Counters } in
+  let q = Q.create ~params () in
+  let h = Q.register q in
+  let rng = Rng.create ~seed:0xA11C () in
+  let keys = Array.init 40_000 (fun _ -> Elt.of_priority (Rng.int rng (1 lsl 20))) in
+  for i = 0 to 9_999 do
+    Q.insert h keys.(i)
+  done;
+  let pairs lo hi =
+    for i = lo to hi - 1 do
+      Q.insert h keys.(i);
+      ignore (Q.extract h)
+    done
+  in
+  pairs 10_000 20_000;
+  let w0 = Gc.minor_words () in
+  pairs 20_000 40_000;
+  let per_pair = (Gc.minor_words () -. w0) /. 20_000.0 in
+  Printf.printf "alloc: %.1f minor words per insert+extract pair\n" per_pair;
+  if per_pair > alloc_words_per_pair then
+    Alcotest.failf "%.1f minor words per pair > ceiling %.1f" per_pair alloc_words_per_pair;
+  Q.unregister h
+
 let mk name f = (name, `Quick, f)
 
 let suite =
   [
     mk "params validate" test_params_validate;
     mk "params dynamic" test_params_dynamic;
-    mk "strict exact (list)" (strict_exact (module Zmsq.Default));
-    mk "strict exact (array)" (strict_exact (module Zmsq.Array_q));
+    mk "strict exact (list)" (strict_exact (module List_q));
+    mk "strict exact (array)" (strict_exact (module Zmsq.Default));
     mk "strict exact (mutex lock)" (strict_exact (module Zmsq.Mutex_q));
     mk "strict exact (tas lock)" (strict_exact (module Zmsq.Tas_q));
-    mk "exact emptiness (list)" (exact_emptiness (module Zmsq.Default));
-    mk "exact emptiness (array)" (exact_emptiness (module Zmsq.Array_q));
-    mk "relaxation bound b=4 (list)" (relaxation_bound (module Zmsq.Default) ~batch:4 ~target_len:16);
-    mk "relaxation bound b=16 (list)" (relaxation_bound (module Zmsq.Default) ~batch:16 ~target_len:32);
-    mk "relaxation bound b=16 (array)" (relaxation_bound (module Zmsq.Array_q) ~batch:16 ~target_len:32);
-    qtest (prop_random_ops (module Zmsq.Default) "zmsq-list");
-    qtest (prop_random_ops (module Zmsq.Array_q) "zmsq-array");
+    mk "exact emptiness (list)" (exact_emptiness (module List_q));
+    mk "exact emptiness (array)" (exact_emptiness (module Zmsq.Default));
+    mk "relaxation bound b=4 (list)" (relaxation_bound (module List_q) ~batch:4 ~target_len:16);
+    mk "relaxation bound b=16 (list)" (relaxation_bound (module List_q) ~batch:16 ~target_len:32);
+    mk "relaxation bound b=16 (array)" (relaxation_bound (module Zmsq.Default) ~batch:16 ~target_len:32);
+    qtest (prop_random_ops (module List_q) "zmsq-list");
+    qtest (prop_random_ops (module Zmsq.Default) "zmsq-array");
     ("concurrent multiset (array)", `Slow,
-      concurrent_multiset (module Zmsq.Array_q) ~ops_per_thread:20_000 ~params:(P.static 16));
+      concurrent_multiset (module Zmsq.Default) ~ops_per_thread:20_000 ~params:(P.static 16));
     ("concurrent multiset (mutex blocking)", `Slow,
       concurrent_multiset (module Zmsq.Mutex_q) ~ops_per_thread:20_000
         ~params:{ (P.static 16) with P.lock_policy = P.Blocking });
@@ -1186,6 +1227,7 @@ let suite =
     mk "split pressure" test_split_pressure;
     mk "tiny target_len bounded tree" test_tiny_target_len_bounded_tree;
     mk "peek and is_empty" test_peek_and_is_empty;
+    mk "alloc ceiling insert+extract pair" test_alloc_ceiling;
     mk "buffer params validate" test_buffer_params_validate;
     mk "buffer stage and flush" test_buffer_stage_and_flush;
     mk "buffer fill triggers flush" test_buffer_fill_triggers_flush;
