@@ -1,8 +1,9 @@
 (* Per-PR perf-regression gate (see lib/harness/perfci.mli).
 
-   Runs the fixed-shape suite, writes the schema-versioned BENCH_pr6.json
-   report, compares against the committed results/perf-baseline.json, and
-   exits 1 when any experiment regresses past its threshold (or exceeds
+   Runs the fixed-shape suite, writes the schema-versioned report to
+   perfci-report.json (untracked; --out names another file, as CI does
+   with BENCH_pr6.json), compares against the committed
+   results/perf-baseline.json, and exits 1 when any experiment regresses past its threshold (or exceeds
    its absolute limit, e.g. the <= 5% full-observability overhead cap).
    --bless rewrites the baseline instead of comparing, from the median of
    [bless_runs] runs: one run lands anywhere in a +-20-30% spread on a
@@ -27,7 +28,7 @@ let usage () =
 let bless_runs = 5
 
 let () =
-  let out = ref "BENCH_pr6.json" in
+  let out = ref "perfci-report.json" in
   let id = ref "pr6" in
   let baseline = ref "results/perf-baseline.json" in
   let scale =

@@ -189,11 +189,9 @@ let model_params =
     target_len = 4;
     lock_policy = Zmsq.Params.Blocking;
     blocking = false;
-    leaky = true;
     forced_insert = true;
     min_swap = false;
     split = false;
-    pool_insert = false;
     initial_levels = 1;
     forced_min_level = 0;
     obs = Zmsq_obs.Level.Off;

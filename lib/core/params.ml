@@ -5,11 +5,10 @@ type t = {
   target_len : int;
   lock_policy : lock_policy;
   blocking : bool;
-  leaky : bool;
+  hazards : bool;
   forced_insert : bool;
   min_swap : bool;
   split : bool;
-  pool_insert : bool;
   initial_levels : int;
   forced_min_level : int;
   buffer_len : int;
@@ -26,11 +25,10 @@ let default =
     target_len = 72;
     lock_policy = Trylock;
     blocking = false;
-    leaky = false;
+    hazards = false;
     forced_insert = true;
     min_swap = true;
     split = true;
-    pool_insert = false;
     initial_levels = 5;
     forced_min_level = 3;
     buffer_len = 0;
@@ -81,7 +79,7 @@ let pp fmt p =
   Format.fprintf fmt "batch=%d target_len=%d lock=%s%s%s%s%s obs=%s" p.batch p.target_len
     (match p.lock_policy with Trylock -> "try" | Blocking -> "block")
     (if p.blocking then " +blocking" else "")
-    (if p.leaky then " +leaky" else "")
+    (if p.hazards then " +hazards" else "")
     (if p.buffer_len > 0 then Printf.sprintf " buf=%d" p.buffer_len else "")
     (if p.shards > 1 then Printf.sprintf " shards=%d sticky=%d" p.shards p.stickiness
      else "")

@@ -17,16 +17,15 @@ type t = {
   target_len : int;
   lock_policy : lock_policy;
   blocking : bool;  (** enable the futex eventcount of Section 3.6 *)
-  leaky : bool;  (** skip hazard-pointer protection (the paper's "leak" mode) *)
+  hazards : bool;
+      (** publish a hazard pointer on every optimistic node read, as a
+          non-GC runtime must (Section 3.5). Tree nodes are never freed
+          here, so the hazards protect nothing; they exist so the paper's
+          ZMSQ vs ZMSQ(leak) comparison (Figs. 5, 7, 8) can be measured.
+          Off by default; the figure instances turn it on. *)
   forced_insert : bool;  (** ablation: non-head leaf insertion (Section 3.2) *)
   min_swap : bool;  (** ablation: parent-min swap optimization (Section 3.2) *)
   split : bool;  (** ablation: split oversized sets *)
-  pool_insert : bool;
-      (** extension (the paper's Section 5 future work): an insertion whose
-          key beats the pool's weakest staged element displaces it into the
-          tree and takes its slot, making fresh high-priority items
-          immediately extractable. Weakens the pool's internal ordering but
-          not the batch relaxation bound. Off by default. *)
   initial_levels : int;  (** tree levels allocated up front *)
   forced_min_level : int;
       (** forced insert / min-swap are forbidden above this level; the paper
@@ -86,8 +85,8 @@ type t = {
 
 val default : t
 (** The paper's recommended static configuration:
-    [batch = 48], [target_len = 72], trylocks, no blocking, hazard pointers
-    on, every insertion enhancement enabled. *)
+    [batch = 48], [target_len = 72], trylocks, no blocking, no hazard
+    pointers, every insertion enhancement enabled. *)
 
 val validate : t -> t
 (** Returns the record unchanged or raises [Invalid_argument]. *)

@@ -19,8 +19,6 @@ type counters = Zmsq_core.counters = {
   insert_retries : int;
   expands : int;
   swap_downs : int;
-  pool_inserts : int;
-  helper_moves : int;
   buf_flushes : int;
   buf_claims : int;
   orphan_reclaims : int;

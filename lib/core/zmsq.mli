@@ -29,8 +29,10 @@
       beats everything published);
     - consumers may block on an empty queue ({!S.extract_blocking}) via the
       futex-style eventcount of Section 3.6;
-    - optimistic accesses are protected by hazard pointers unless
-      [params.leaky] is set (the paper's "leak" comparison mode).
+    - optimistic node reads publish hazard pointers only when
+      [params.hazards] is set. The GC keeps every node alive, so the
+      default skips them; the figure instances turn them on to measure
+      the paper's ZMSQ vs ZMSQ(leak) gap.
 
     The functor is parameterized by the per-node lock (Section 4.1 compares
     mutex/TAS/TATAS) and the per-node set representation (sorted list vs
@@ -55,8 +57,6 @@ type counters = {
   insert_retries : int;  (** optimistic insertion restarts *)
   expands : int;  (** tree level expansions *)
   swap_downs : int;  (** set exchanges during invariant repair *)
-  pool_inserts : int;  (** direct pool displacements (Section 5 extension) *)
-  helper_moves : int;  (** elements promoted by helper passes (Section 5 extension) *)
   buf_flushes : int;  (** per-domain insert buffers published into the tree *)
   buf_claims : int;  (** extractions served from the caller's own buffer *)
   orphan_reclaims : int;  (** orphaned handles scavenged by {!S.reclaim_orphans} *)
@@ -158,7 +158,8 @@ module type S = sig
 
   val orphan : handle -> unit
   (** Declare the handle's owning thread dead, making the handle's staged
-      buffer and hazard record claimable by {!reclaim_orphans}. Callable
+      buffer (and hazard record, with [params.hazards]) claimable by
+      {!reclaim_orphans}. Callable
       from any thread — it is the one handle operation that deliberately
       breaks the single-owner rule — but only meaningful for an owner that
       is no longer executing queue operations (crashed, or parked for
@@ -174,9 +175,9 @@ module type S = sig
   val reclaim_orphans : t -> int
   (** Scavenge every {!Orphaned} handle: CAS-claim it (losing cleanly to a
       concurrent owner resurrection or [unregister]), bulk-flush its
-      staged backlog into the tree, release its hazard record and forget
-      it — so a crashed producer can neither strand elements nor exhaust
-      the hazard domain's [max_threads]. Returns the number of elements
+      staged backlog into the tree, release its hazard record (if any) and
+      forget it — so a crashed producer can neither strand elements nor,
+      with [params.hazards], exhaust the hazard domain's [max_threads]. Returns the number of elements
       published. Callable from any thread at any lifecycle state; also
       piggybacked automatically by [extract] when the published structure
       is empty while [buffered > 0]. *)
@@ -189,15 +190,6 @@ module type S = sig
       claim and the root's cached maximum) without removing it;
       {!Zmsq_pq.Elt.none} when empty. An O(1) estimate: concurrent
       operations may change it before an extract. *)
-
-  val helper_pass : ?visits:int -> handle -> int
-  (** One quality-improvement pass (the paper's Section 5 "helper threads"
-      future work): visit [visits] (default 8) random non-leaf nodes and,
-      where a set is under [target_len], promote the larger child's
-      maximum into it, repairing the child's subtree afterwards. Safe to
-      run concurrently with any other operation; intended to be called in
-      a loop from a dedicated background domain. Returns the number of
-      elements moved. *)
 
   val metrics : t -> Zmsq_obs.Metrics.t
   (** The queue's private metrics registry: sharded event counters
@@ -246,7 +238,8 @@ module type S = sig
     (** (sleeps, wakes) of the eventcount when [params.blocking]. *)
 
     val hazard_domain_stats : t -> (int * int * int) option
-    (** (retired, recycled, scans) when hazard pointers are active. *)
+    (** (retired, recycled, scans) when [params.hazards] is set; [None]
+        otherwise, as with {!Params.default}. *)
   end
 end
 

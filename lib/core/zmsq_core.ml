@@ -18,8 +18,6 @@ type counters = {
   insert_retries : int;
   expands : int;
   swap_downs : int;
-  pool_inserts : int;
-  helper_moves : int;
   buf_flushes : int;
   buf_claims : int;
   orphan_reclaims : int;
@@ -60,7 +58,6 @@ module type S = sig
   val reclaim_orphans : t -> int
   val is_empty : t -> bool
   val peek : t -> Zmsq_pq.Elt.t
-  val helper_pass : ?visits:int -> handle -> int
   val metrics : t -> Zmsq_obs.Metrics.t
   val trace : t -> Zmsq_obs.Trace.t option
 
@@ -148,8 +145,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     c_retries : Metrics.counter;
     c_expands : Metrics.counter;
     c_swap_downs : Metrics.counter;
-    c_pool_inserts : Metrics.counter;
-    c_helper_moves : Metrics.counter;
     c_buf_claims : Metrics.counter;
     c_buf_flush_full : Metrics.counter;
     c_buf_flush_demand : Metrics.counter;
@@ -166,7 +161,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     h_insert : Metrics.histogram;
     h_extract : Metrics.histogram;
     h_refill : Metrics.histogram;
-    h_helper : Metrics.histogram;
     h_flush : Metrics.histogram;
     h_reclaim : Metrics.histogram;
     h_rank_gap : Metrics.histogram;
@@ -203,7 +197,7 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     handles_mu : Mutex.t;
     handles : handle list Plain.t; (* lint: guarded-by handles_mu *)
     ec : Eventcount.t option;
-    hp : tnode Hazard.t option; (* None in leaky mode *)
+    hp : tnode Hazard.t option; (* Some iff params.hazards *)
     obs_on : bool; (* params.obs <> Off, hoisted for the hot paths *)
     obs_full : bool; (* params.obs = Full *)
     sample_mask : int; (* (1 lsl obs_sample_shift) - 1; QoS sampling at Full *)
@@ -279,8 +273,9 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
         handles = Plain.make ~name:"zmsq.handles" [];
         ec;
         hp =
-          (if params.leaky then None
-           else Some (Hazard.create ~slots_per_thread:3 ~recycle:(fun (_ : tnode) -> ()) ()));
+          (if params.hazards then
+             Some (Hazard.create ~slots_per_thread:3 ~recycle:(fun (_ : tnode) -> ()) ())
+           else None);
         obs_on = Obs_level.counting params.obs;
         obs_full = Obs_level.tracing params.obs;
         sample_mask = (1 lsl params.obs_sample_shift) - 1;
@@ -303,8 +298,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
             c_retries = Metrics.counter metrics "insert_retries_total";
             c_expands = Metrics.counter metrics "expands_total";
             c_swap_downs = Metrics.counter metrics "swap_downs_total";
-            c_pool_inserts = Metrics.counter metrics "pool_inserts_total";
-            c_helper_moves = Metrics.counter metrics "helper_moves_total";
             c_buf_claims = Metrics.counter metrics "buf_claims_total";
             c_buf_flush_full = Metrics.counter metrics "buf_flush_full_total";
             c_buf_flush_demand = Metrics.counter metrics "buf_flush_demand_total";
@@ -321,7 +314,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
             h_insert = Metrics.histogram metrics "insert_ns";
             h_extract = Metrics.histogram metrics "extract_ns";
             h_refill = Metrics.histogram metrics "refill_ns";
-            h_helper = Metrics.histogram metrics "helper_pass_ns";
             h_flush = Metrics.histogram metrics "buf_flush_ns";
             h_reclaim = Metrics.histogram metrics "reclaim_flush_ns";
             h_rank_gap = Metrics.histogram metrics "rank_gap_keys";
@@ -544,8 +536,8 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
   let node_at q level slot = (Atomic.get q.levels.(level)).(slot)
 
   (* Optimistic access to a node: publish a hazard pointer and re-validate,
-     exactly the acquire pattern a non-GC runtime needs (Section 3.5). In
-     leaky mode this collapses to a plain read. *)
+     exactly the acquire pattern a non-GC runtime needs (Section 3.5).
+     Without [params.hazards] (the default) this is a plain read. *)
   let protect_node h ~hpslot level slot =
     match h.hp_thread with
     | None -> node_at h.q level slot
@@ -757,25 +749,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
       end
     end
 
-  (* Section 5 extension: a fresh key that beats the weakest unclaimed pool
-     element takes its slot; the displaced element is re-inserted into the
-     tree by the caller. The CAS can only replace a value a consumer has
-     not yet claimed (claims exchange in [none], which never matches), and
-     a racing refill generation changes the slot value, failing the CAS. *)
-  let try_pool_displace q e =
-    if (not q.params.pool_insert) || q.params.batch = 0 || Atomic.get q.pool_next < 0 then
-      Elt.none
-    else begin
-      let slot = q.pool.(0) in
-      let weakest = Atomic.get slot in
-      if (not (Elt.is_none weakest)) && weakest < e && Atomic.compare_and_set slot weakest e
-      then begin
-        tick q q.mc.c_pool_inserts;
-        weakest
-      end
-      else Elt.none
-    end
-
   (* [traced]: the caller's sampling draw chose this insert for per-op
      telemetry, so its [forced_insert]/[min_swap] instants are recorded.
      They fire on almost every insert, and an exhaustive instant would
@@ -785,7 +758,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
     (* Count the element before it lands: extraction spins rather than
        reporting a false empty while an insert is in flight. *)
     Atomic.incr q.size;
-    let e = match try_pool_displace q e with v when Elt.is_none v -> e | displaced -> displaced in
     let retried = ref false in
     let rec attempt () =
       let leaf, slot, force = select_position ~room:1 h e in
@@ -1428,69 +1400,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
         in
         loop ()
 
-  (* Section 5 extension: helper passes improve set quality in the
-     background. One pass visits random non-leaf nodes; when a node's set
-     is below target_len, it pulls the larger child's maximum up into the
-     node's set (safe: that key is <= the node's max by the invariant) and
-     repairs the child's own invariant downward. Returns elements moved. *)
-  let helper_pass_aux visits h =
-    let q = h.q in
-    let moved = ref 0 in
-    let leaf = Atomic.get q.leaf_level in
-    if leaf > 0 then
-      for _ = 1 to visits do
-        let level = Rng.int h.rng leaf in
-        let slot = Rng.int h.rng (1 lsl level) in
-        let node = protect_node h ~hpslot:0 level slot in
-        if
-          Atomic.get node.count < q.params.target_len
-          && level < Atomic.get q.leaf_level
-          && L.try_acquire node.lock
-        then begin
-          if Atomic.get node.count < q.params.target_len then begin
-            let left = node_at q (level + 1) (2 * slot) in
-            let right = node_at q (level + 1) ((2 * slot) + 1) in
-            L.acquire left.lock;
-            L.acquire right.lock;
-            let child, child_slot, other =
-              if Atomic.get left.max >= Atomic.get right.max then (left, 2 * slot, right)
-              else (right, (2 * slot) + 1, left)
-            in
-            L.release other.lock;
-            if Set.size child.set > 1 then begin
-              let top = Set.remove_max child.set in
-              Set.insert node.set top;
-              refresh node;
-              refresh child;
-              incr moved;
-              tick q q.mc.c_helper_moves;
-              L.release node.lock;
-              (* The child lost its max; restore its subtree invariant. *)
-              swap_down q (level + 1) child_slot child
-            end
-            else begin
-              L.release child.lock;
-              L.release node.lock
-            end
-          end
-          else L.release node.lock
-        end
-      done;
-    !moved
-
-  let helper_pass ?(visits = 8) h =
-    ensure_owner h "Zmsq.helper_pass";
-    let q = h.q in
-    if not q.obs_full then helper_pass_aux visits h
-    else begin
-      (match q.tr with Some tr -> Trace.span_begin tr Trace.Helper_pass | None -> ());
-      let t0 = Zmsq_util.Timing.now_ns () in
-      let moved = helper_pass_aux visits h in
-      Metrics.observe q.mh.h_helper (float_of_int (Zmsq_util.Timing.now_ns () - t0));
-      (match q.tr with Some tr -> Trace.span_end tr Trace.Helper_pass | None -> ());
-      moved
-    end
-
   let is_empty q = Atomic.get q.size = 0
 
   (* Best element currently *published*: the larger of the pool's next
@@ -1606,13 +1515,10 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
           for i = 0 to min next (Array.length q.pool - 1) do
             if Elt.is_none (Atomic.get q.pool.(i)) then ok := false
           done;
-          (* Claimable slots ascend: the next claim is the current best.
-             Direct pool insertion deliberately breaks this ordering (it
-             overwrites slot 0 with a better element). *)
-          if not q.params.pool_insert then
-            for i = 1 to min next (Array.length q.pool - 1) do
-              if Atomic.get q.pool.(i) < Atomic.get q.pool.(i - 1) then ok := false
-            done;
+          (* Claimable slots ascend: the next claim is the current best. *)
+          for i = 1 to min next (Array.length q.pool - 1) do
+            if Atomic.get q.pool.(i) < Atomic.get q.pool.(i - 1) then ok := false
+          done;
           !ok
         end
       in
@@ -1633,8 +1539,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
         insert_retries = Metrics.value q.mc.c_retries;
         expands = Metrics.value q.mc.c_expands;
         swap_downs = Metrics.value q.mc.c_swap_downs;
-        pool_inserts = Metrics.value q.mc.c_pool_inserts;
-        helper_moves = Metrics.value q.mc.c_helper_moves;
         buf_flushes =
           Metrics.value q.mc.c_buf_flush_full
           + Metrics.value q.mc.c_buf_flush_demand

@@ -513,10 +513,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
         if Elt.is_none best || ((not (Elt.is_none v)) && v > best) then v else best)
       Elt.none t.shards
 
-  let helper_pass ?visits h =
-    ensure_owner h "Zmsq_shard.helper_pass";
-    Q.helper_pass ?visits h.inner.(Plain.get h.cur)
-
   module Debug = struct
     let check_invariant t = Array.for_all Q.Debug.check_invariant t.shards
 
@@ -560,8 +556,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
             insert_retries = acc.insert_retries + c.Zmsq_core.insert_retries;
             expands = acc.expands + c.Zmsq_core.expands;
             swap_downs = acc.swap_downs + c.Zmsq_core.swap_downs;
-            pool_inserts = acc.pool_inserts + c.Zmsq_core.pool_inserts;
-            helper_moves = acc.helper_moves + c.Zmsq_core.helper_moves;
             buf_flushes = acc.buf_flushes + c.Zmsq_core.buf_flushes;
             buf_claims = acc.buf_claims + c.Zmsq_core.buf_claims;
             orphan_reclaims = acc.orphan_reclaims + c.Zmsq_core.orphan_reclaims;
@@ -574,8 +568,6 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
           insert_retries = 0;
           expands = 0;
           swap_downs = 0;
-          pool_inserts = 0;
-          helper_moves = 0;
           buf_flushes = 0;
           buf_claims = 0;
           orphan_reclaims = 0;

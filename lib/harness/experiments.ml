@@ -229,7 +229,7 @@ let fig5_queues () =
     ("spraylist", Instances.spraylist);
     ("mound", Instances.mound);
     ("zmsq", Instances.zmsq_list ~params ());
-    ("zmsq(array)", Instances.zmsq ~params ());
+    ("zmsq(array)", Instances.zmsq ~params:{ params with P.hazards = true } ());
     ("zmsq(leak)", Instances.zmsq_leak ~params ());
   ]
 
@@ -305,7 +305,7 @@ let sssp_queues () =
   let params = P.(default |> with_batch 42 |> with_target_len 64) in
   [
     ("zmsq", Instances.zmsq_list ~params ());
-    ("zmsq(array)", Instances.zmsq ~params ());
+    ("zmsq(array)", Instances.zmsq ~params:{ params with P.hazards = true } ());
     ("zmsq(leak)", Instances.zmsq_leak ~params ());
     ("spraylist", Instances.spraylist);
     ("mound", Instances.mound);
@@ -364,7 +364,10 @@ let fig8 () =
       fig8_configs
     @ [
         ("zmsq-leak(42,64)", Instances.zmsq_leak ~params:P.(default |> with_batch 42 |> with_target_len 64) ());
-        ("zmsq-array(42,64)", Instances.zmsq ~params:P.(default |> with_batch 42 |> with_target_len 64) ());
+        ( "zmsq-array(42,64)",
+          Instances.zmsq
+            ~params:{ P.(default |> with_batch 42 |> with_target_len 64) with P.hazards = true }
+            () );
         ("spraylist", Instances.spraylist);
         ("mound", Instances.mound);
       ]
@@ -493,83 +496,14 @@ let ablation_variants =
     ("no-minswap", fun p -> { p with P.min_swap = false });
     ("no-split", fun p -> { p with P.split = false });
     ("blocking-locks", fun p -> { p with P.lock_policy = P.Blocking });
-    ("pool-insert", fun p -> { p with P.pool_insert = true });
   ]
 
-(* Set-representation ablation rows run against the same spec. *)
+(* Set-representation ablation rows run against the same spec, both with
+   hazard pointers on ([Instances.zmsq_list] always publishes them). *)
 let set_variants =
   [
     ("set=list", fun params -> Instances.zmsq_list ~params ());
-    ("set=array", fun params -> Instances.zmsq ~params ());
-  ]
-
-(* Section 5 extension study: the same mixed workload with and without a
-   dedicated helper domain improving set quality in the background. *)
-let helper_study () =
-  let module Q = Zmsq.Default in
-  let ops = scaled 1_000_000 in
-  let t = List.fold_left max 1 (threads ()) in
-  let measure ~with_helper =
-    let q = Q.create ~params:(P.static 32) () in
-    let rng = Zmsq_util.Rng.create ~seed:0x4E1 () in
-    let streams =
-      Zmsq_dist.Workload.per_thread rng ~threads:t ~keys:normal_keys ~insert_permil:500 ops
-    in
-    (* preload *)
-    let h = Q.register q in
-    let g = Keys.make (Zmsq_util.Rng.split rng) normal_keys in
-    for _ = 1 to ops / 2 do
-      Q.insert h (Zmsq_pq.Elt.of_priority (Keys.next g))
-    done;
-    let stop = Atomic.make false in
-    let helper =
-      if with_helper then
-        Some
-          (Domain.spawn (fun () ->
-               let hh = Q.register q in
-               while not (Atomic.get stop) do
-                 ignore (Q.helper_pass hh)
-               done;
-               Q.unregister hh))
-      else None
-    in
-    let _, seconds =
-      Runner.timed_parallel_pre ~threads:t
-        ~setup:(fun tid -> (Q.register q, streams.(tid)))
-        ~run:(fun _ (h, ops) ->
-          Array.iter
-            (fun op ->
-              match op with
-              | Zmsq_dist.Workload.Insert k -> Q.insert h (Zmsq_pq.Elt.of_priority k)
-              | Zmsq_dist.Workload.Extract -> ignore (Q.extract h))
-            ops;
-          Q.unregister h)
-    in
-    Atomic.set stop true;
-    Option.iter Domain.join helper;
-    let counts = Q.Debug.node_counts q in
-    let nonempty = Array.to_list counts |> List.filter (fun c -> c > 0) |> List.map float_of_int in
-    let mean_count =
-      if nonempty = [] then 0.0 else Zmsq_util.Stats.mean (Array.of_list nonempty)
-    in
-    let c = Q.Debug.counters q in
-    Q.unregister h;
-    (float_of_int ops /. seconds /. 1e6, mean_count, c.Zmsq.helper_moves)
-  in
-  let base_mops, base_qual, _ = measure ~with_helper:false in
-  let help_mops, help_qual, moves = measure ~with_helper:true in
-  [
-    Table.make ~id:"helper" ~title:"helper-thread extension (Section 5 future work)"
-      ~notes:
-        [
-          Printf.sprintf "50/50 mix, %d ops, %d worker threads, batch=32 target_len=32" ops t;
-          "helper domain runs quality passes concurrently with the workload";
-        ]
-      ~header:[ "variant"; "Mops/s"; "mean set size"; "helper moves" ]
-      [
-        [ "no helper"; Table.cell_f base_mops; Table.cell_f base_qual; "-" ];
-        [ "with helper"; Table.cell_f help_mops; Table.cell_f help_qual; Table.cell_i moves ];
-      ];
+    ("set=array", fun params -> Instances.zmsq ~params:{ params with P.hazards = true } ());
   ]
 
 let ablations () =
@@ -992,7 +926,6 @@ let all =
     { id = "mem"; title = "memory footprint and depth"; paper = "Section 3.2"; run = mem };
     { id = "patterns"; title = "input-pattern sensitivity"; paper = "Section 3.7"; run = patterns };
     { id = "ablations"; title = "design-choice ablations"; paper = "Sections 3.2/4.1"; run = ablations };
-    { id = "helper"; title = "helper-thread extension"; paper = "Section 5"; run = helper_study };
     { id = "buffer"; title = "insert-buffering extension"; paper = "Section 5 / MultiQueue"; run = buffer };
     { id = "shard"; title = "sharded ZMSQ-of-ZMSQs"; paper = "MultiQueue / ROADMAP 1"; run = shard };
   ]

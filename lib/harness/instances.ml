@@ -7,21 +7,25 @@ let zmsq ?(params = Zmsq.Params.default) () () =
 
 module List_q = Zmsq.Make (Zmsq_sync.Lock.Tatas) (Zmsq.List_set)
 
+(* The paper-figure instances below publish hazard pointers, as the
+   paper's ZMSQ does; [zmsq_leak] is the same list set without them. *)
+let with_hazards params = { params with Zmsq.Params.hazards = true }
+
 let zmsq_list ?(params = Zmsq.Params.default) () () =
-  Intf.pack (module List_q) (List_q.create ~params ())
+  Intf.pack (module List_q) (List_q.create ~params:(with_hazards params) ())
 
 let zmsq_leak ?(params = Zmsq.Params.default) () () =
-  let params = { params with Zmsq.Params.leaky = true } in
+  let params = { params with Zmsq.Params.hazards = false } in
   Intf.pack (module List_q) (List_q.create ~params ())
 
 let zmsq_tas ?(params = Zmsq.Params.default) () () =
-  Intf.pack (module Zmsq.Tas_q) (Zmsq.Tas_q.create ~params ())
+  Intf.pack (module Zmsq.Tas_q) (Zmsq.Tas_q.create ~params:(with_hazards params) ())
 
 let zmsq_shard ?(params = Zmsq.Params.default) () () =
   Intf.pack (module Zmsq.Shard.Default) (Zmsq.Shard.Default.create ~params ())
 
 let zmsq_mutex ?(params = Zmsq.Params.default) () () =
-  let params = { params with Zmsq.Params.lock_policy = Zmsq.Params.Blocking } in
+  let params = { (with_hazards params) with Zmsq.Params.lock_policy = Zmsq.Params.Blocking } in
   Intf.pack (module Zmsq.Mutex_q) (Zmsq.Mutex_q.create ~params ())
 
 let mound () = Intf.pack (module Zmsq_mound.Mound) (Zmsq_mound.Mound.create ())

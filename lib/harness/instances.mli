@@ -6,22 +6,24 @@
 type factory = unit -> Zmsq_pq.Intf.instance
 
 val zmsq : ?params:Zmsq.Params.t -> unit -> factory
-(** Default ZMSQ ({!Zmsq.Default}: TATAS trylocks, array sets) — the
-    paper's "(array)" curves. *)
+(** Default ZMSQ ({!Zmsq.Default}: TATAS trylocks, array sets) with
+    [params] as given. The figures' "(array)" curves pass
+    [params.hazards = true]. *)
 
 val zmsq_list : ?params:Zmsq.Params.t -> unit -> factory
-(** TATAS trylocks with sorted-list sets: the paper's "zmsq" curves and
+(** TATAS trylocks with sorted-list sets and hazard pointers on
+    ([params.hazards] is forced to [true]): the paper's "zmsq" curves and
     the Figure 2 "tatas" row beside {!zmsq_tas} and {!zmsq_mutex}. *)
 
 val zmsq_leak : ?params:Zmsq.Params.t -> unit -> factory
-(** {!zmsq_list} with hazard pointers disabled: the paper's "zmsq(leak)"
+(** {!zmsq_list} with hazard pointers off: the paper's "zmsq(leak)"
     curves. *)
 
 val zmsq_tas : ?params:Zmsq.Params.t -> unit -> factory
-(** TAS trylocks with list sets ({!Zmsq.Tas_q}). *)
+(** TAS trylocks with list sets ({!Zmsq.Tas_q}), hazard pointers on. *)
 
 val zmsq_mutex : ?params:Zmsq.Params.t -> unit -> factory
-(** OS mutex with list sets ({!Zmsq.Mutex_q}). *)
+(** OS mutex with list sets ({!Zmsq.Mutex_q}), hazard pointers on. *)
 
 val zmsq_shard : ?params:Zmsq.Params.t -> unit -> factory
 (** Sharded ZMSQ-of-ZMSQs ({!Zmsq.Shard.Default}): [params.shards]

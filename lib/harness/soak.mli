@@ -5,7 +5,8 @@
     a producer that {e crashes} mid-phase without unregistering (its staged
     buffer is recovered via {!Zmsq.orphan} + {!Zmsq.reclaim_orphans}),
     one-shot producers racing consumer demand, rapid handle churn that
-    deliberately exhausts the hazard-slot budget, shard churn (sticky
+    deliberately exhausts the hazard-slot budget (the one phase run with
+    [Params.hazards]), shard churn (sticky
     inserters migrating across a {!Zmsq.Shard} build, a fraction abandoned
     via orphan, under injected trylock losses), and a socket server
     flooded past its admission ladder — all on top of the
@@ -74,7 +75,8 @@ type phase =
           every connection: clients ride retry/backoff while a
           fault-exempt monitor asserts element conservation and shed
           accounting; a graceful drain then proves exact emptiness, and
-          a retry-storm guard bounds the faulted p99 at 2x clean *)
+          a retry-storm guard ({!Zmsq_net.Loadgen.retry_storm}) requires
+          every client retry to wait out the schedule's base delay *)
 
 val phase_name : phase -> string
 

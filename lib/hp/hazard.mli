@@ -5,8 +5,8 @@
     reproduce the *cost* of memory safety: protected reads publish to shared
     slots and retirement scans all published pointers before recycling a
     node into its free pool, exactly the work a C++ implementation performs.
-    ZMSQ's "leak" benchmark mode bypasses this module, mirroring the paper's
-    leaky comparators.
+    ZMSQ uses it only with [Params.hazards] set, which the paper-figure
+    instances do; the default queue and the "leak" comparators bypass it.
 
     ZMSQ needs at most two hazard pointers per thread (three with a
     list-based set); the default [slots_per_thread] is 3.

@@ -154,7 +154,7 @@ let call_retry t ~retry req =
         match Retry.on_failure retry ~reason:(Protocol.err_code_name code) with
         | Retry.Gave_up why -> Error why
         | Retry.Retry_after d ->
-            Unix.sleepf (float_of_int d *. 1e-9);
+            Retry.pause retry d;
             ignore msg;
             go ())
     | Ok resp ->
@@ -164,7 +164,7 @@ let call_retry t ~retry req =
         match Retry.on_failure retry ~reason:("transport: " ^ msg) with
         | Retry.Gave_up why -> Error why
         | Retry.Retry_after d ->
-            Unix.sleepf (float_of_int d *. 1e-9);
+            Retry.pause retry d;
             go ())
   in
   go ()

@@ -31,7 +31,7 @@ val call_retry :
   t -> retry:Retry.t -> Protocol.req -> (Protocol.resp, string) result
 (** {!call}, retrying transport errors and retryable protocol errors
     ([Throttled]/[Shed]/[Rejected]) per the retry state's schedule
-    (sleeping between attempts). [Error] carries the {!Retry.Gave_up}
+    (sleeping between attempts through {!Retry.pause}). [Error] carries the {!Retry.Gave_up}
     message once the budget is exhausted. *)
 
 val close : t -> unit

@@ -38,6 +38,8 @@ type report = {
   elts_extracted : int;
   deadline_expired : int;
   gave_up : int;
+  retries : int;
+  backoff_ns : int;
   rpc_ns : Histogram.t;
 }
 
@@ -50,6 +52,8 @@ let empty_report () =
     elts_extracted = 0;
     deadline_expired = 0;
     gave_up = 0;
+    retries = 0;
+    backoff_ns = 0;
     rpc_ns = Histogram.create ();
   }
 
@@ -62,6 +66,8 @@ let merge_report a b =
     elts_extracted = a.elts_extracted + b.elts_extracted;
     deadline_expired = a.deadline_expired + b.deadline_expired;
     gave_up = a.gave_up + b.gave_up;
+    retries = a.retries + b.retries;
+    backoff_ns = a.backoff_ns + b.backoff_ns;
     rpc_ns = Histogram.merge a.rpc_ns b.rpc_ns;
   }
 
@@ -107,7 +113,14 @@ let client_loop cfg addr ~seed ~mk_req ~on_resp =
      done
    with Exit -> ());
   Client.close c;
-  !r
+  { !r with retries = Retry.retries retry; backoff_ns = Retry.waited_ns retry }
+
+let retry_storm (policy : Retry.policy) r =
+  if r.backoff_ns >= r.retries * policy.base_ns then None
+  else
+    Some
+      (Printf.sprintf "retry storm: %d retries waited %d ns in all, under the %d ns base delay each"
+         r.retries r.backoff_ns policy.base_ns)
 
 let producer_domain cfg addr i () =
   client_loop cfg addr ~seed:(cfg.seed + i)

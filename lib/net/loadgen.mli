@@ -38,6 +38,8 @@ type report = {
   elts_extracted : int;  (** elements received across extract replies *)
   deadline_expired : int;  (** RPCs refused as doomed work *)
   gave_up : int;  (** retry budgets exhausted (= refused + failed) *)
+  retries : int;  (** requests re-sent after a failure ({!Retry.retries}) *)
+  backoff_ns : int;  (** time measured backing off before them ({!Retry.waited_ns}) *)
   rpc_ns : Zmsq_util.Stats.Histogram.t;  (** per-RPC round-trip latency *)
 }
 
@@ -45,3 +47,12 @@ val run : config -> Unix.sockaddr -> report
 (** Blocks for [duration_s] (plus teardown). Each domain's RPC stream is
     deterministic given [seed] and the server's answers. Raises
     [Unix.Unix_error] if the first connection attempt fails outright. *)
+
+val retry_storm : Retry.policy -> report -> string option
+(** [retry_storm policy r] is [Some reason] when [r]'s clients backed off
+    less than [policy] requires: every delay of its schedule is at least
+    [base_ns], so [r.backoff_ns] must reach [r.retries * base_ns]. A
+    client that honours the schedule passes on every run, since a sleep
+    never ends early; one that retries at once fails as soon as it
+    retries. This caps each client at one retry per [base_ns], which is
+    what keeps wire faults and shedding from turning into a storm. *)

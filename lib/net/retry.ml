@@ -11,12 +11,22 @@ type t = {
   mutable attempts : int;
   mutable slept_ns : int;
   mutable prev_ns : int;  (** last delay; the decorrelated-jitter state *)
+  mutable retries : int;  (** [Retry_after] decisions since [create] *)
+  mutable waited_ns : int;  (** time measured inside [pause] since [create] *)
 }
 
 let create ?(seed = 1) policy =
-  if policy.base_ns <= 0 || policy.cap_ns < policy.base_ns then
-    invalid_arg "Retry.create: need 0 < base_ns <= cap_ns";
-  { policy; rng = Rng.create ~seed (); attempts = 0; slept_ns = 0; prev_ns = policy.base_ns }
+  if policy.base_ns < 0 || policy.cap_ns < policy.base_ns then
+    invalid_arg "Retry.create: need 0 <= base_ns <= cap_ns";
+  {
+    policy;
+    rng = Rng.create ~seed ();
+    attempts = 0;
+    slept_ns = 0;
+    prev_ns = policy.base_ns;
+    retries = 0;
+    waited_ns = 0;
+  }
 
 type decision = Retry_after of int | Gave_up of string
 
@@ -39,6 +49,7 @@ let on_failure t ~reason =
     else begin
       t.slept_ns <- t.slept_ns + d;
       t.prev_ns <- d;
+      t.retries <- t.retries + 1;
       Retry_after d
     end
   end
@@ -49,6 +60,14 @@ let on_success t =
   t.prev_ns <- t.policy.base_ns
 
 let attempts t = t.attempts
+
+let pause t d =
+  let t0 = Zmsq_util.Timing.now_ns () in
+  Unix.sleepf (float_of_int d *. 1e-9);
+  t.waited_ns <- t.waited_ns + (Zmsq_util.Timing.now_ns () - t0)
+
+let retries t = t.retries
+let waited_ns t = t.waited_ns
 
 let schedule ?seed policy k =
   let t = create ?seed policy in

@@ -14,7 +14,9 @@
     test tier pins down. *)
 
 type policy = {
-  base_ns : int;  (** first delay lower bound *)
+  base_ns : int;
+      (** every delay's lower bound. [0] (with [cap_ns = 0]) retries at
+          once: the retry-storm shape {!Loadgen.retry_storm} rejects. *)
   cap_ns : int;  (** per-delay upper bound *)
   max_attempts : int;  (** failures tolerated before giving up *)
   budget_ns : int;  (** cumulative sleep allowed across retries *)
@@ -41,6 +43,16 @@ val on_success : t -> unit
 
 val attempts : t -> int
 (** Failures recorded since the last reset. *)
+
+val pause : t -> int -> unit
+(** [pause t d] sleeps [d] ns (a {!Retry_after} delay) and adds the time
+    it measured to {!waited_ns}. *)
+
+val retries : t -> int
+(** {!Retry_after} decisions since [create]; {!on_success} keeps it. *)
+
+val waited_ns : t -> int
+(** Wall time measured inside {!pause} since [create]. *)
 
 val schedule : ?seed:int -> policy -> int -> int list
 (** [schedule policy k] is the delay sequence a fresh [t] would produce

@@ -6,7 +6,6 @@ type kind =
   | Expand
   | Forced_insert
   | Min_swap
-  | Helper_pass
   | Sleep
   | Wake
   | Buf_flush
@@ -25,7 +24,6 @@ let kind_name = function
   | Expand -> "expand"
   | Forced_insert -> "forced_insert"
   | Min_swap -> "min_swap"
-  | Helper_pass -> "helper_pass"
   | Sleep -> "ec_sleep"
   | Wake -> "ec_wake"
   | Buf_flush -> "buf_flush"
@@ -44,7 +42,6 @@ let kind_code = function
   | Expand -> 4
   | Forced_insert -> 5
   | Min_swap -> 6
-  | Helper_pass -> 7
   | Sleep -> 8
   | Wake -> 9
   | Buf_flush -> 10
@@ -52,7 +49,7 @@ let kind_code = function
   | Reclaim -> 12
   | Drain -> 13
   | Shard_select -> 14
-  (* 15 is retired: existing traces keep their codes for [Accept]/[Rpc]. *)
+  (* 7 and 15 are retired: existing traces keep the codes of the other kinds. *)
   | Accept -> 16
   | Rpc -> 17
 
@@ -64,7 +61,6 @@ let kind_of_code = function
   | 4 -> Expand
   | 5 -> Forced_insert
   | 6 -> Min_swap
-  | 7 -> Helper_pass
   | 8 -> Sleep
   | 9 -> Wake
   | 10 -> Buf_flush

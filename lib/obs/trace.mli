@@ -23,7 +23,6 @@ type kind =
   | Expand
   | Forced_insert
   | Min_swap
-  | Helper_pass
   | Sleep
   | Wake
   | Buf_flush  (** a per-domain insert buffer published into the tree *)

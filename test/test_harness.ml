@@ -156,8 +156,7 @@ let test_registry_complete () =
   List.iter
     (fun id -> check Alcotest.bool (id ^ " registered") true (List.mem id ids))
     [ "fig2a"; "fig2b"; "fig3a"; "fig3b"; "table1a"; "table1b"; "fig4"; "fig5a"; "fig5b";
-      "fig5c"; "fig6"; "fig7"; "fig8"; "stable"; "keys7"; "mem"; "patterns"; "ablations";
-      "helper" ];
+      "fig5c"; "fig6"; "fig7"; "fig8"; "stable"; "keys7"; "mem"; "patterns"; "ablations" ];
   check Alcotest.bool "find known" true (H.Experiments.find "fig6" <> None);
   check Alcotest.bool "find unknown" true (H.Experiments.find "nope" = None)
 

@@ -540,6 +540,47 @@ let server_exe () =
   | Some p -> p
   | None -> Alcotest.fail "bin/zmsq_server.exe is not built"
 
+(* The retry-storm guard and its buggy twin. Every fourth send is severed
+   client-side, so every run retries on every seed. A client on a paced
+   schedule must pass the guard; the same client with a zero-backoff
+   schedule must fail it, judged against the paced schedule. *)
+let test_retry_storm_guard () =
+  let module Loadgen = Zmsq_net.Loadgen in
+  let paced = { Retry.base_ns = 500_000; cap_ns = 20_000_000; max_attempts = 6; budget_ns = 150_000_000 } in
+  let zero = { paced with Retry.base_ns = 0; cap_ns = 0 } in
+  with_server ~workers:1 (fun _q srv ->
+      let run seed retry =
+        let sends = Atomic.make 0 in
+        let fault () =
+          if Atomic.fetch_and_add sends 1 mod 4 = 3 then Zmsq_prim.Faulty.Io_drop
+          else Zmsq_prim.Faulty.Io_none
+        in
+        Loadgen.run
+          {
+            Loadgen.default_config with
+            Loadgen.producers = 1;
+            consumers = 1;
+            duration_s = 0.1;
+            retry;
+            seed;
+            fault = Some fault;
+          }
+          (Srv.sockaddr srv)
+      in
+      List.iter
+        (fun seed ->
+          let ok = run seed paced and twin = run seed zero in
+          checkb (Printf.sprintf "seed %d: paced client retried" seed) true (ok.Loadgen.retries > 0);
+          checkb (Printf.sprintf "seed %d: twin retried" seed) true (twin.Loadgen.retries > 0);
+          (match Loadgen.retry_storm paced ok with
+          | None -> ()
+          | Some why -> Alcotest.failf "seed %d: paced client flagged: %s" seed why);
+          checkb
+            (Printf.sprintf "seed %d: zero-backoff twin flagged" seed)
+            true
+            (Loadgen.retry_storm paced twin <> None))
+        [ 1; 2; 3; 4; 5 ])
+
 (* SIGTERM the moment the listening line appears, as a benchmark or a
    process manager may: the signal handlers must already be in place, so
    every run drains and exits 0 instead of dying by the default action. *)
@@ -584,6 +625,7 @@ let suite =
     ("protocol rejects malformed", `Quick, test_protocol_rejects);
     ("retry deterministic schedule", `Quick, test_retry_schedule);
     ("retry budgets exhaust loudly", `Quick, test_retry_budgets);
+    ("retry storm guard flags zero backoff", `Slow, test_retry_storm_guard);
     ("server insert/extract e2e", `Slow, at_workers test_server_insert_extract);
     ("server doomed-work refusal", `Slow, at_workers test_server_deadline_doomed);
     ("server shed ladder", `Slow, at_workers test_server_shed_ladder);

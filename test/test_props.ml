@@ -8,8 +8,8 @@
    Part 1 — differential testing. Random operation sequences are replayed
    against the sequential Binary_heap oracle: with [batch = 0] ZMSQ is a
    strict priority queue, so every extraction must agree with the oracle
-   exactly. The whole forced_insert × min_swap × split × pool_insert
-   ablation matrix is covered, each with buffering off and on
+   exactly. The whole forced_insert × min_swap × split ablation matrix
+   is covered, each with buffering off and on
    ([buffer_len > 0] stays exact for a single handle: the local claim rule
    only fires when the staged head beats everything published, and a
    drained extract flushes the backlog — see DESIGN.md). QCheck shrinks
@@ -38,7 +38,7 @@ let iters = Zmsq_util.Env.int "ZMSQ_PROP_ITERS" ~default:40
 
 (* {2 Part 1: differential vs the sequential oracle} *)
 
-let ablation_params ~forced_insert ~min_swap ~split ~pool_insert ~buffer_len =
+let ablation_params ~forced_insert ~min_swap ~split ~buffer_len =
   P.validate
     {
       P.strict with
@@ -46,7 +46,6 @@ let ablation_params ~forced_insert ~min_swap ~split ~pool_insert ~buffer_len =
       forced_insert;
       min_swap;
       split;
-      pool_insert;
       buffer_len;
     }
 
@@ -106,21 +105,14 @@ let differential_tests =
         (fun forced_insert ->
           List.concat_map
             (fun min_swap ->
-              List.concat_map
+              List.map
                 (fun split ->
-                  List.map
-                    (fun pool_insert ->
-                      let params =
-                        ablation_params ~forced_insert ~min_swap ~split ~pool_insert
-                          ~buffer_len
-                      in
-                      let name =
-                        Printf.sprintf
-                          "differential b=0 buf=%d forced=%b minswap=%b split=%b pool=%b"
-                          buffer_len forced_insert min_swap split pool_insert
-                      in
-                      QCheck.Test.make ~name ~count:iters ops_arb (differential_ok params))
-                    bools)
+                  let params = ablation_params ~forced_insert ~min_swap ~split ~buffer_len in
+                  let name =
+                    Printf.sprintf "differential b=0 buf=%d forced=%b minswap=%b split=%b"
+                      buffer_len forced_insert min_swap split
+                  in
+                  QCheck.Test.make ~name ~count:iters ops_arb (differential_ok params))
                 bools)
             bools)
         bools)

@@ -383,12 +383,14 @@ let test_counters_fire () =
   check Alcotest.bool "swap downs fired" true (c.Zmsq.swap_downs > 0);
   Q.unregister h
 
+(* Hazard pointers are opt-in: the default queue builds no hazard domain,
+   so no operation on it can publish one. *)
 let test_hazard_stats_present () =
   let module Q = Zmsq.Default in
   let q = Q.create () in
-  check Alcotest.bool "hp stats in safe mode" true (Q.Debug.hazard_domain_stats q <> None);
-  let leaky = Q.create ~params:{ P.default with P.leaky = true } () in
-  check Alcotest.bool "no hp stats in leak mode" true (Q.Debug.hazard_domain_stats leaky = None)
+  check Alcotest.bool "no hp stats by default" true (Q.Debug.hazard_domain_stats q = None);
+  let safe = Q.create ~params:{ P.default with P.hazards = true } () in
+  check Alcotest.bool "hp stats with hazards" true (Q.Debug.hazard_domain_stats safe <> None)
 
 let test_pool_level () =
   let module Q = Zmsq.Default in
@@ -421,112 +423,6 @@ let test_split_pressure () =
   check Alcotest.bool "multiset under splits" true
     (List.sort compare !inserted = List.sort compare out);
   Q.unregister h
-
-(* {2 Section 5 extensions: pool insertion, helper passes} *)
-
-let test_pool_insert_correct () =
-  let module Q = Zmsq.Default in
-  let params = { (P.static 16) with P.pool_insert = true } in
-  let q = Q.create ~params () in
-  let h = Q.register q in
-  let rng = Rng.create ~seed:0x902 () in
-  let ins = ref [] and outs = ref [] in
-  for _ = 1 to 40_000 do
-    if Rng.int rng 2 = 0 then begin
-      let e = Elt.of_priority (Rng.int rng 1_000_000) in
-      Q.insert h e;
-      ins := e :: !ins
-    end
-    else begin
-      let e = Q.extract h in
-      if not (Elt.is_none e) then outs := e :: !outs
-    end
-  done;
-  check Alcotest.bool "invariant (pool order relaxed)" true (Q.Debug.check_invariant q);
-  let rest = Conc_util.drain (module Q) h in
-  check Alcotest.bool "multiset with pool_insert" true
-    (List.sort compare !ins = List.sort compare (rest @ !outs));
-  let c = Q.Debug.counters q in
-  check Alcotest.bool "pool inserts fired" true (c.Zmsq.pool_inserts > 0);
-  Q.unregister h
-
-let test_pool_insert_immediate_extract () =
-  let module Q = Zmsq.Default in
-  let params = { (P.static 4) with P.pool_insert = true } in
-  let q = Q.create ~params () in
-  let h = Q.register q in
-  for i = 1 to 100 do
-    Q.insert h (Elt.of_priority i)
-  done;
-  (* prime the pool *)
-  ignore (Q.extract h);
-  check Alcotest.bool "pool primed" true (Q.Debug.pool_level q > 0);
-  (* a very high insert should displace into the pool *)
-  Q.insert h (Elt.of_priority 999_999);
-  let c = Q.Debug.counters q in
-  check Alcotest.bool "displaced into pool" true (c.Zmsq.pool_inserts > 0);
-  (* it must come out within the pool window *)
-  let found = ref false in
-  for _ = 1 to 4 do
-    if Elt.priority (Q.extract h) = 999_999 then found := true
-  done;
-  check Alcotest.bool "hot element extracted from pool window" true !found;
-  Q.unregister h
-
-let test_pool_insert_concurrent () =
-  let module Q = Zmsq.Default in
-  let params = { (P.static 16) with P.pool_insert = true } in
-  let q = Q.create ~params () in
-  let ok, _ = Conc_util.multiset_stress (module Q) q ~threads:4 ~ops_per_thread:15_000 in
-  check Alcotest.bool "concurrent multiset with pool_insert" true ok
-
-let test_helper_pass_improves_quality () =
-  let module Q = Zmsq.Default in
-  let q = Q.create ~params:(P.static 24) () in
-  let h = Q.register q in
-  let rng = Rng.create ~seed:0x903 () in
-  let ins = ref [] in
-  for _ = 1 to 40_000 do
-    let e = Elt.of_priority (Rng.int rng 1_000_000) in
-    Q.insert h e;
-    ins := e :: !ins
-  done;
-  (* drain a bit to hollow out upper sets *)
-  let outs = ref [] in
-  for _ = 1 to 20_000 do
-    let e = Q.extract h in
-    if not (Elt.is_none e) then outs := e :: !outs
-  done;
-  let moved = ref 0 in
-  for _ = 1 to 400 do
-    moved := !moved + Q.helper_pass ~visits:16 h
-  done;
-  check Alcotest.bool "helper moved elements" true (!moved > 0);
-  check Alcotest.bool "invariant after helper" true (Q.Debug.check_invariant q);
-  let rest = Conc_util.drain (module Q) h in
-  check Alcotest.bool "multiset after helper" true
-    (List.sort compare !ins = List.sort compare (rest @ !outs));
-  Q.unregister h
-
-let test_helper_concurrent_with_workload () =
-  let module Q = Zmsq.Default in
-  let q = Q.create ~params:(P.static 16) () in
-  let stop = Atomic.make false in
-  let helper =
-    Domain.spawn (fun () ->
-        let h = Q.register q in
-        let n = ref 0 in
-        while not (Atomic.get stop) do
-          n := !n + Q.helper_pass h
-        done;
-        Q.unregister h;
-        !n)
-  in
-  let ok, _ = Conc_util.multiset_stress (module Q) q ~threads:3 ~ops_per_thread:15_000 in
-  Atomic.set stop true;
-  let _moves = Domain.join helper in
-  check Alcotest.bool "multiset with background helper" true ok;
-  check Alcotest.bool "invariant with background helper" true (Q.Debug.check_invariant q)
 
 let test_peek_and_is_empty () =
   let module Q = Zmsq.Default in
@@ -1154,10 +1050,10 @@ let test_shard_lifecycle_randomized () =
    the measured loop) must not allocate more minor words per pair than
    [alloc_words_per_pair]. OCaml 5's minor GC stops every domain, so
    allocation on the hot path is a pause for all of them. The ceiling is
-   the value last measured (148 words once [Rng] stopped boxing its state;
-   173 before, and the list set reads 551) plus rounding; it only ever
-   moves down. *)
-let alloc_words_per_pair = 150.0
+   the value last measured (81.6 words once hazard pointers left the
+   default path; 148 with them, 173 before [Rng] stopped boxing its state,
+   and the list set reads 551) plus rounding; it only ever moves down. *)
+let alloc_words_per_pair = 83.0
 
 let test_alloc_ceiling () =
   let module Q = Zmsq.Default in
@@ -1216,11 +1112,6 @@ let suite =
     mk "ablation no-forced" (ablation_correct "no-forced" (fun p -> { p with P.forced_insert = false }));
     mk "ablation no-minswap" (ablation_correct "no-minswap" (fun p -> { p with P.min_swap = false }));
     mk "ablation no-split" (ablation_correct "no-split" (fun p -> { p with P.split = false }));
-    mk "pool_insert correctness" test_pool_insert_correct;
-    mk "pool_insert immediate extract" test_pool_insert_immediate_extract;
-    ("pool_insert concurrent", `Slow, test_pool_insert_concurrent);
-    mk "helper pass improves quality" test_helper_pass_improves_quality;
-    ("helper concurrent with workload", `Slow, test_helper_concurrent_with_workload);
     mk "counters fire" test_counters_fire;
     mk "hazard stats presence" test_hazard_stats_present;
     mk "pool level" test_pool_level;
