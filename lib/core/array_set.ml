@@ -1,8 +1,12 @@
 (** Unsorted array set — the paper's "(array)" TNode set variant and the
     default set. No per-element allocation and a small cache footprint:
-    ordered operations pay a scan (or a sort in [take_top]), which is cheap
-    for the small sets ZMSQ maintains (about [target_len] elements, at
-    most [2 * target_len] before a split).
+    ordered operations pay a scan, or a sort in [take_top] (every refill)
+    and [split_lower] (every split), which is cheap for the small sets
+    ZMSQ maintains (about [target_len] elements, at most [2 * target_len]
+    before a split). The sort works on the used prefix of [data] in
+    place: an [int]-specialised quicksort with insertion sort on ranges
+    of at most [small_sort] elements, no copy, no comparison closure, no
+    allocation.
 
     The backing array doubles when full and gives capacity back when a set
     shrinks well below it, so a long run does not leave every node holding
@@ -94,11 +98,62 @@ let replace_min t e =
   t.data.(i) <- e;
   (dropped, min_elt t)
 
-(* Sort the used prefix descending, detach the top [n]. *)
-let sort_desc t =
-  let used = Array.sub t.data 0 t.len in
-  Array.sort (fun a b -> compare b a) used;
-  Array.blit used 0 t.data 0 t.len
+let small_sort = 16
+
+let swap (a : Elt.t array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let insertion_sort (a : Elt.t array) lo hi =
+  for i = lo + 1 to hi do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) < v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done
+
+(* Sort [a.(lo..hi)] descending in place: quicksort around a median of
+   three with a Hoare partition (equal keys split evenly), insertion sort
+   on ranges of at most [small_sort] elements. The smaller side recurses and the larger
+   one is a tail call, so the stack stays O(log n). *)
+let rec quicksort (a : Elt.t array) lo hi =
+  if hi - lo < small_sort then insertion_sort a lo hi
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    if a.(mid) > a.(lo) then swap a mid lo;
+    if a.(hi) > a.(lo) then swap a hi lo;
+    if a.(hi) > a.(mid) then swap a hi mid;
+    let p = a.(mid) in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while a.(!i) > p do
+        incr i
+      done;
+      while a.(!j) < p do
+        decr j
+      done;
+      if !i <= !j then begin
+        swap a !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    if !j - lo < hi - !i then begin
+      quicksort a lo !j;
+      quicksort a !i hi
+    end
+    else begin
+      quicksort a !i hi;
+      quicksort a lo !j
+    end
+  end
+
+(* Sort the used prefix descending. *)
+let sort_desc t = quicksort t.data 0 (t.len - 1)
 
 let take_top t n =
   let n = min n t.len in

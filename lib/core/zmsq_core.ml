@@ -1173,13 +1173,21 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
         L.release node.lock
       end
       else begin
-        let child, child_slot, other =
-          if lmax >= rmax then (left, 2 * slot, right) else (right, (2 * slot) + 1, left)
+        let child, child_slot, other, cmax =
+          if lmax >= rmax then (left, 2 * slot, right, lmax)
+          else (right, (2 * slot) + 1, left, rmax)
         in
         L.release other.lock;
         Set.swap_contents node.set child.set;
-        refresh node;
-        refresh child;
+        (* The caches travel with the contents instead of rescanning both
+           sets: both locks are held and both caches are exact. *)
+        let nmin = Atomic.get node.min and ncount = Atomic.get node.count in
+        Atomic.set node.max cmax;
+        Atomic.set node.min (Atomic.get child.min);
+        Atomic.set node.count (Atomic.get child.count);
+        Atomic.set child.max my;
+        Atomic.set child.min nmin;
+        Atomic.set child.count ncount;
         tick q q.mc.c_swap_downs;
         L.release node.lock;
         swap_down q (level + 1) child_slot child

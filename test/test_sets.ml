@@ -206,6 +206,60 @@ let array_capacity () =
     check Alcotest.int (Printf.sprintf "cycle %d: no trim" cycle) settled (A.capacity s)
   done
 
+(* The array set sorts in place (quicksort, insertion sort on ranges of
+   at most 16 elements). Check [take_top] and [split_lower] against a sorted-list
+   reference at every size from 0 to 300, so both sides of the cutoff run,
+   on four key patterns: random with duplicates, few distinct keys,
+   ascending and descending. Each check covers the order returned, the
+   contents left behind and their [max_elt]/[min_elt]. *)
+let array_sort_reference () =
+  let module A = Zmsq.Array_set in
+  let module Rng = Zmsq_util.Rng in
+  let rng = Rng.create ~seed:0x5047 () in
+  let desc l = List.sort (fun a b -> compare b a) l in
+  let ints = Alcotest.(list int) in
+  let fill n =
+    let key i =
+      match n mod 4 with
+      | 0 -> Rng.int rng (1 + (n / 2))
+      | 1 -> Rng.int rng 3
+      | 2 -> i
+      | _ -> n - i
+    in
+    let keys = List.init n key in
+    let s = A.create () in
+    List.iter (A.insert s) keys;
+    (s, desc keys)
+  in
+  let check_left what s want =
+    check ints (what ^ ": contents left") want (desc (A.fold (fun acc e -> e :: acc) [] s));
+    let first = match want with [] -> Elt.none | e :: _ -> e in
+    let last = List.fold_left (fun _ e -> e) Elt.none want in
+    check Alcotest.int (what ^ ": max_elt") first (A.max_elt s);
+    check Alcotest.int (what ^ ": min_elt") last (A.min_elt s)
+  in
+  let rec split_at k = function
+    | e :: rest when k > 0 ->
+        let a, b = split_at (k - 1) rest in
+        (e :: a, b)
+    | l -> ([], l)
+  in
+  for n = 0 to 300 do
+    let s, sorted = fill n in
+    let k = Rng.int rng (n + 2) in
+    let top = A.take_top s k in
+    let want_top, want_left = split_at k sorted in
+    let what = Printf.sprintf "n=%d take_top %d" n k in
+    check ints (what ^ ": order") want_top (Array.to_list top);
+    check_left what s want_left;
+    let s, sorted = fill n in
+    let lower = A.split_lower s in
+    let want_kept, want_lower = split_at (n - (n / 2)) sorted in
+    let what = Printf.sprintf "n=%d split_lower" n in
+    check ints (what ^ ": order") want_lower (Array.to_list lower);
+    check_left what s want_kept
+  done
+
 let per_impl =
   List.concat_map
     (fun (name, m) ->
@@ -219,4 +273,10 @@ let per_impl =
       ])
     impls
 
-let suite = per_impl @ [ ("array capacity", `Quick, array_capacity); qtest prop_impls_agree ]
+let suite =
+  per_impl
+  @ [
+      ("array capacity", `Quick, array_capacity);
+      ("array sort vs sorted list", `Quick, array_sort_reference);
+      qtest prop_impls_agree;
+    ]
