@@ -10,7 +10,7 @@ let usage () =
   prerr_endline
     "usage: zmsq_server [--port P] [--host H] [--shards N] [--workers N]\n\
     \                   [--max-conns N] [--window N] [--hwm N]\n\
-    \                   [--sojourn-hwm-ms F] [--secs S] [--stats-every S]\n\
+    \                   [--secs S] [--stats-every S]\n\
      Serves the ZMSQ wire protocol (lib/net/protocol.mli) on H:P\n\
      (default 127.0.0.1:7171). --secs > 0 self-terminates after S\n\
      seconds (testing); otherwise runs until SIGTERM/SIGINT, then\n\
@@ -46,9 +46,6 @@ let () =
         parse rest
     | "--hwm" :: v :: rest ->
         cfg := { !cfg with Srv.max_elts_inflight = int_of_string v };
-        parse rest
-    | "--sojourn-hwm-ms" :: v :: rest ->
-        cfg := { !cfg with Srv.sojourn_hwm_ns = float_of_string v *. 1e6 };
         parse rest
     | "--secs" :: v :: rest ->
         secs := float_of_string v;

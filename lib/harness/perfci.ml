@@ -44,7 +44,7 @@ type exp = {
 
 (* {2 Workload shapes}
 
-   Shapes follow the registry experiments they mirror (fig5a, fig4, the
+   Shapes follow the registry experiments they mirror (fig5a, the
    buffer sweep) but with pinned seeds, pinned thread counts and op counts
    small enough for a CI push job. [scale] multiplies op counts only. *)
 
@@ -78,21 +78,6 @@ let buffer_run ~scale =
       ("threads", Json.Int t);
       ("total_ops", Json.Int spec.Throughput.total_ops);
       ("buffer_len", Json.Int 64);
-    ] )
-
-let fig4_run ~scale =
-  let spec =
-    { Handoff.producers = 2; consumers = 2; handoffs = ops scale 100_000; batch = 32; seed = 0xF4 }
-  in
-  let r = Handoff.run Handoff.Block spec in
-  ( r.Handoff.p99_latency_ns,
-    [
-      ("handoffs", Json.Int spec.Handoff.handoffs);
-      ("mean_ns", Json.Float r.Handoff.mean_latency_ns);
-      ("p999_ns", Json.Float r.Handoff.p999_latency_ns);
-      ("max_ns", Json.Float r.Handoff.max_latency_ns);
-      ("sleeps", Json.Int r.Handoff.sleeps);
-      ("wakes", Json.Int r.Handoff.wakes);
     ] )
 
 (* Sharded insert-heavy throughput (the ISSUE-8 gate): shards=4 with
@@ -205,67 +190,6 @@ let roofline_run ~scale =
       ("heap_pair_ns", Json.Float heap_ns);
     ] )
 
-(* End-to-end server RPC p99 (the ISSUE-10 gate): the lib/net socket
-   front-end over the default sharded build on loopback, driven by the
-   closed-loop load generator with a balanced insert/extract mix sized to
-   stay under the admission ladder, so the figure is the healthy-path
-   latency — framing, admission, queue, wire — not a backpressure
-   artifact. Duration-shaped rather than op-shaped; [scale] stretches the
-   measurement window. *)
-module NetSrv = Zmsq_net.Server.Make (Zmsq.Shard.Default)
-
-let server_e2e_run ~scale =
-  let q =
-    Zmsq.Shard.Default.create
-      ~params:{ P.default with blocking = true; shards = 2; stickiness = 8 }
-      ()
-  in
-  let srv =
-    NetSrv.create
-      ~config:{ NetSrv.default_config with NetSrv.workers = 2; max_elts_inflight = 1_000_000 }
-      ~q
-      ~addr:(Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
-      ()
-  in
-  let cfg =
-    {
-      Zmsq_net.Loadgen.default_config with
-      Zmsq_net.Loadgen.producers = 2;
-      consumers = 2;
-      duration_s = Float.max 0.2 (0.5 *. scale);
-      batch = 32;
-      extract_n = 32;
-      insert_budget_ns = 500_000_000;
-      extract_budget_ns = 500_000_000;
-      seed = 0xE2E;
-    }
-  in
-  (* Throwaway then keep-best, like [overhead_run]: the first run pays
-     connection setup and heap growth. *)
-  let p99 = ref infinity and best = ref None in
-  ignore (Zmsq_net.Loadgen.run { cfg with Zmsq_net.Loadgen.duration_s = 0.1 } (NetSrv.sockaddr srv));
-  for _ = 1 to 3 do
-    let r = Zmsq_net.Loadgen.run cfg (NetSrv.sockaddr srv) in
-    let p = Zmsq_util.Stats.Histogram.percentile r.Zmsq_net.Loadgen.rpc_ns 99.0 in
-    if p < !p99 then begin
-      p99 := p;
-      best := Some r
-    end
-  done;
-  NetSrv.shutdown srv;
-  let r = Option.get !best in
-  ( !p99,
-    [
-      ("producers", Json.Int 2);
-      ("consumers", Json.Int 2);
-      ("duration_s", Json.Float cfg.Zmsq_net.Loadgen.duration_s);
-      ("rpcs_ok", Json.Int r.Zmsq_net.Loadgen.rpcs_ok);
-      ("elts_inserted", Json.Int r.Zmsq_net.Loadgen.elts_inserted);
-      ("elts_extracted", Json.Int r.Zmsq_net.Loadgen.elts_extracted);
-      ("mean_ns", Json.Float (Zmsq_util.Stats.Histogram.mean r.Zmsq_net.Loadgen.rpc_ns));
-      ("p999_ns", Json.Float (Zmsq_util.Stats.Histogram.p999 r.Zmsq_net.Loadgen.rpc_ns));
-    ] )
-
 (* Full-observability overhead on the fig5a shape: percent throughput lost
    going from [Counters] to [Full] with the default 1/256 QoS sampling.
    The acceptance bound is <= 5%. Run single-threaded — with more threads
@@ -320,15 +244,6 @@ let experiments =
       e_run = fig5a_run;
     };
     {
-      e_id = "fig4_handoff_p99_ns";
-      e_title = "blocking handoff p99 latency (fig4 shape)";
-      e_unit = "ns";
-      e_higher_better = false;
-      e_threshold_pct = 150.0;
-      e_limit = None;
-      e_run = fig4_run;
-    };
-    {
       e_id = "buffer_insert_mops";
       e_title = "100% inserts with buf=64 (buffer-experiment shape)";
       e_unit = "Mops/s";
@@ -359,24 +274,6 @@ let experiments =
           (float_of_int (Zmsq_util.Env.int "ZMSQ_PERFCI_SHARD_SPEEDUP_FLOOR_X10" ~default:15)
           /. 10.0);
       e_run = shard_speedup_run;
-    };
-    {
-      e_id = "server_e2e_p99_ns";
-      e_title = "network front-end RPC p99, balanced load on loopback";
-      e_unit = "ns";
-      e_higher_better = false;
-      (* p99 through a socket on a shared runner is the noisiest figure
-         in the suite — the park-time tail is bimodal and the histogram
-         buckets are power-of-two, so adjacent healthy runs can land
-         three buckets (8x) apart. Gated like [obs_full_overhead_pct]:
-         the relative threshold is wide open and the absolute cap below
-         does the real work. *)
-      e_threshold_pct = 1000.0;
-      e_limit =
-        Some
-          (float_of_int (Zmsq_util.Env.int "ZMSQ_PERFCI_SERVER_P99_LIMIT_MS" ~default:100)
-          *. 1e6);
-      e_run = server_e2e_run;
     };
     {
       e_id = "roofline_pair_ratio";

@@ -16,7 +16,6 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
     inflight_window : int;
     max_frame : int;
     max_elts_inflight : int;
-    sojourn_hwm_ns : float;
     tick_ms : float;
     idle_slice_ns : int;
     fault : (unit -> Faulty.io_fault) option;
@@ -29,7 +28,6 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
       inflight_window = 64;
       max_frame = Frame.max_frame_default;
       max_elts_inflight = 16_384;
-      sojourn_hwm_ns = 200e6;
       tick_ms = 5.0;
       idle_slice_ns = 1_000_000;
       fault = None;
@@ -175,26 +173,13 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
      plus RPCs in flight inside the server. Steps up are
      immediate; steps down require dropping below 80% of the current
      step's threshold (hysteresis, so the ladder does not flap at a
-     boundary and shed decisions stay explainable). A sampled sojourn
-     p99 above [sojourn_hwm_ns] escalates Accept to Throttle even with a
-     short queue — latency pressure without depth pressure means
-     consumers are starving. *)
+     boundary and shed decisions stay explainable). *)
 
   let backlog t =
     Array.fold_left ( + ) 0 (Q.shard_sizes t.q)
     + Q.Debug.buffered t.q + Atomic.get t.inflight
 
-  let sojourn_p99 t =
-    Array.fold_left
-      (fun acc m ->
-        let s = Metrics.snapshot m in
-        match List.assoc_opt "sojourn_ns" s.Metrics.hists with
-        | Some h when Zmsq_util.Stats.Histogram.count h > 0 ->
-            Float.max acc (Zmsq_util.Stats.Histogram.percentile h 99.0)
-        | _ -> acc)
-      0.0 (Q.shard_metrics t.q)
-
-  let update_level t ~check_sojourn =
+  let update_level t =
     let hwm = t.cfg.max_elts_inflight in
     let b = backlog t in
     let cur = Atomic.get t.level in
@@ -207,10 +192,6 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
         let thresh = match cur with 1 -> hwm | 2 -> 2 * hwm | _ -> 4 * hwm in
         if b * 5 < thresh * 4 then cur - 1 else cur
       end
-    in
-    let next =
-      if next = 0 && check_sojourn && sojourn_p99 t > t.cfg.sojourn_hwm_ns then 1
-      else next
     in
     Atomic.set t.level next
 
@@ -613,7 +594,6 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
     let rr = ref 0 in
     let tick_ns = int_of_float (t.cfg.tick_ms *. 1e6) in
     let next_tick = ref (Timing.now_ns () + tick_ns) in
-    let ticks = ref 0 in
     let take_inbox () =
       Mutex.lock w.inbox_mu;
       Fun.protect
@@ -687,10 +667,7 @@ module Make (Q : Zmsq.Shard.SHARDED) = struct
         let now = Timing.now_ns () in
         if now >= !next_tick then begin
           next_tick := now + tick_ns;
-          incr ticks;
-          (* Sojourn percentiles walk every shard snapshot — sample them
-             at an eighth of the tick cadence. *)
-          update_level t ~check_sojourn:(!ticks land 7 = 0)
+          update_level t
         end
       end;
       let did_io = ref false in

@@ -11,7 +11,7 @@
     - {b admission}: per-connection inflight window ([Throttled]) and
       the global ladder Accept → Throttle → Shed-inserts → Reject,
       driven by backlog (shard sizes + staged + server in-flight)
-      with step-down hysteresis and a sojourn-p99 escalation;
+      with step-down hysteresis;
       every shed decision is a typed protocol error, never a drop;
     - {b deadline budgets}: each RPC's budget is stamped into an
       absolute deadline (saturating) at decode; work whose budget is
@@ -35,8 +35,6 @@ module Make (Q : Zmsq.Shard.SHARDED) : sig
     max_frame : int;
     max_elts_inflight : int;
         (** admission ladder high-water mark on total backlog *)
-    sojourn_hwm_ns : float;
-        (** sampled sojourn p99 above this escalates to Throttle *)
     tick_ms : float;  (** ladder refresh cadence (worker 0, time-based) *)
     idle_slice_ns : int;
         (** one [extract_timeout] slice while parked extract waiters

@@ -231,7 +231,7 @@ let test_perfci_bless () =
   Alcotest.(check (float 0.0)) "details from the median run" 2.0
     (List.find (fun r -> r.P.id = "fig5a_mops") med).P.wall_seconds;
   let path = Filename.temp_file "perfci" ".json" in
-  let keep = [ ("fig4_handoff_p99_ns", 8388608.0, Some 150.0); ("fig5a_mops", 0.5, None) ] in
+  let keep = [ ("buffer_insert_mops", 5.5, Some 40.0); ("fig5a_mops", 0.5, None) ] in
   ignore
     (Zmsq_obs.Export.write_file ~path
        (Zmsq_obs.Json.to_string (P.baseline_json ~keep [ mk "fig5a_mops" 2.0 ])));
@@ -240,7 +240,7 @@ let test_perfci_bless () =
   | Ok base ->
       Alcotest.(check (list (triple string (float 0.0) (option (float 0.0)))))
         "subset bless keeps the other entries, in suite order"
-        [ ("fig5a_mops", 2.0, Some 35.0); ("fig4_handoff_p99_ns", 8388608.0, Some 150.0) ]
+        [ ("fig5a_mops", 2.0, Some 35.0); ("buffer_insert_mops", 5.5, Some 40.0) ]
         base);
   Sys.remove path
 

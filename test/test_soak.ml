@@ -4,12 +4,15 @@
    FAA/exchange stalls, a frozen producer, a producer crash without
    unregister, handle churn to slot exhaustion, shard churn and server
    overload under wire faults) against the buffered + blocking queue.
-   The watchdogs —
-   conservation, staleness, the zero-budget final-poll probe, the
-   one-shot starvation contract and the handle-registry leak check —
-   must stay silent; the fault counters prove the faults actually
-   fired. The nightly CI job runs the same binary for minutes with a
-   random seed. *)
+   One runner drives the five single-queue phases and shard-churn
+   (server-overload has its own). The watchdogs — conservation,
+   staleness, per-shard drain exactness, the zero-budget final-poll
+   probe, the one-shot starvation contract and the handle-registry leak
+   check — must stay silent; the fault counters prove the faults
+   actually fired. A buggy twin runs that runner over a build that drops
+   inserts, and the conservation watchdog must catch it in a
+   single-queue phase and in shard-churn. The nightly CI job runs the
+   same binary for minutes with a random seed. *)
 
 module Soak = Zmsq_harness.Soak
 
@@ -92,9 +95,48 @@ let test_soak_rejects_bad_config () =
     (Invalid_argument "Soak.run: need at least one phase") (fun () ->
       ignore (Soak.run { Soak.default_config with Soak.phases = [] }))
 
+(* A queue that silently loses one insert in [drop_1in]: the element is
+   counted by the soak but never published. *)
+let drop_1in = 997
+
+module Lossy (Q : Zmsq.SHARDED) = struct
+  include Q
+
+  let seen = Atomic.make 0
+
+  let insert h e =
+    if Atomic.fetch_and_add seen 1 mod drop_1in <> drop_1in - 1 then Q.insert h e
+end
+
+module Lossy_soak = Soak.Make (Lossy)
+
+let test_soak_buggy_twin () =
+  let cfg =
+    {
+      Soak.default_config with
+      Soak.seed = 0x7A1;
+      secs = 0.4;
+      phases = [ Soak.Mixed; Soak.Shard_churn ];
+    }
+  in
+  let conservation_in (r : Soak.report) phase =
+    let prefix = Soak.phase_name phase ^ ": conservation:" in
+    List.exists (String.starts_with ~prefix) r.Soak.violations
+  in
+  let honest = Soak.run cfg in
+  check Alcotest.(list string) "honest builds: no violations" [] honest.Soak.violations;
+  let lossy = Lossy_soak.run cfg in
+  List.iter
+    (fun phase ->
+      check Alcotest.bool
+        (Soak.phase_name phase ^ ": lossy build caught by conservation")
+        true (conservation_in lossy phase))
+    cfg.Soak.phases
+
 let suite =
   [
     ("soak smoke under full fault injection", `Slow, test_soak_smoke);
     ("soak phase selection and naming", `Slow, test_soak_phase_selection);
     ("soak config validation", `Quick, test_soak_rejects_bad_config);
+    ("soak runner catches a lossy build", `Slow, test_soak_buggy_twin);
   ]
